@@ -96,11 +96,14 @@ scale-smoke:
 # Archive smoke: the columnar training archive's acceptance surface —
 # bit-exact segment round-trip, CSV-export equivalence, SQL-over-mount
 # cross-check, chaos identities with the segment sink at drain parallelism
-# 1/2/4, the segment-sink golden fingerprint, the 2x density floor, and the
-# archive-vs-TrainingPoint model-path equivalence.
+# 1/2/4, the segment-sink golden fingerprint, the 2x density floor, every
+# point of a large drain reaching the sink, the delivery identity under
+# healthy and failing sinks, and the archive-vs-TrainingPoint model-path
+# equivalence.
 archive-smoke:
 	$(GO) test ./internal/archive -run '^(TestRoundTripBitExact|TestExportCSVMatchesDirectSink|TestSQLOverArchive|TestChaosIdentitiesWithSegmentSink|TestColumnarDensityVsCSV)$$' -count=1
 	$(GO) test ./internal/workload -run '^TestSegmentSinkGoldenFingerprint$$' -count=1
+	$(GO) test ./internal/tscout -run '^(TestLargeDrainDeliversEveryPoint|TestDeliveryIdentity)$$' -count=1
 	$(GO) test ./internal/model -run '^TestFromArchiveMatchesFromTrainingPoints$$' -count=1
 	$(GO) test ./cmd/tsctl -run '^TestArchiveCmd' -count=1
 

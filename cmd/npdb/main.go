@@ -78,7 +78,15 @@ func main() {
 				continue
 			}
 			srv.TS.Processor().Drain(tscout.DrainOptions{})
-			pts := srv.TS.Processor().Points()
+			r, err := srv.Archive()
+			var pts []tscout.TrainingPoint
+			if err == nil {
+				pts, err = r.Points()
+			}
+			if err != nil {
+				fmt.Printf("error: %v\n", err)
+				continue
+			}
 			fmt.Printf("%d training points\n", len(pts))
 			for i, p := range pts {
 				if i >= 20 {

@@ -11,9 +11,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
+	"tscout/internal/archive"
 	"tscout/internal/kernel"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
@@ -27,7 +29,9 @@ const (
 
 func main() {
 	k := kernel.New(sim.LargeHW, 5, 0.02)
-	ts := tscout.New(k, tscout.Config{Seed: 5})
+	var archived bytes.Buffer
+	aw := archive.NewWriter(&archived)
+	ts := tscout.New(k, tscout.Config{Seed: 5, ProcessorSink: aw})
 
 	// The GC subsystem piggybacks on the log-serializer subsystem slot's
 	// sibling: for a real integration you would extend SubsystemID; here
@@ -83,13 +87,14 @@ func main() {
 	}
 	ts.Processor().Drain(tscout.DrainOptions{})
 	fmt.Println("fused GC samples split into per-OU training points:")
-	for _, p := range ts.Processor().Points() {
+	for _, p := range readArchive(aw, &archived) {
 		fmt.Printf("  %-10s objects=%6.0f elapsed=%8.1fus alloc=%dB\n",
 			p.OUName, p.Features[0], float64(p.Metrics.ElapsedNS)/1000, p.Metrics.AllocBytes)
 	}
 
 	// Live rate adjustment: crank the subsystem down to 10% and observe
 	// the collection volume drop — no redeployment needed (§5.3, §5.4).
+	// Reset zeroes the Processor's counters.
 	ts.Processor().Reset()
 	ts.Sampler().SetRate(tscout.SubsystemExecutionEngine, 10)
 	for i := 0; i < 100; i++ {
@@ -97,7 +102,7 @@ func main() {
 	}
 	ts.Processor().Drain(tscout.DrainOptions{})
 	fmt.Printf("\nat a 10%% sampling rate, 100 GC runs produced %d fused samples (~10 expected)\n",
-		len(ts.Processor().Points())/2)
+		ts.Processor().Stats().Processed/2)
 
 	// The marker state machine guards against instrumentation bugs.
 	ts.Sampler().SetRate(tscout.SubsystemExecutionEngine, 100)
@@ -106,4 +111,21 @@ func main() {
 	pipeline.End(bad) // END without BEGIN
 	col := ts.CollectorFor(tscout.SubsystemExecutionEngine)
 	fmt.Printf("marker-order violations detected in kernel space: %d\n", col.ErrorCount())
+}
+
+// readArchive seals the writer's pending rows and reads every training
+// point back from the archive bytes.
+func readArchive(w *archive.Writer, buf *bytes.Buffer) []tscout.TrainingPoint {
+	if err := w.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	r, err := archive.NewReader(buf.Bytes())
+	if err != nil {
+		log.Fatal(err)
+	}
+	pts, err := r.Points()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return pts
 }

@@ -31,8 +31,7 @@ func collectOffline(profile sim.HardwareProfile) []model.Point {
 		log.Fatal(err)
 	}
 	srv.TS.Processor().Drain(tscout.DrainOptions{})
-	return model.FromTrainingPoints(srv.TS.Processor().Points(),
-		[]float64{profile.ClockGHz * 1000})
+	return archivedPoints(srv, profile)
 }
 
 func collectOnline(profile sim.HardwareProfile) []model.Point {
@@ -55,8 +54,21 @@ func collectOnline(profile sim.HardwareProfile) []model.Point {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	return model.FromTrainingPoints(srv.TS.Processor().Points(),
-		[]float64{profile.ClockGHz * 1000})
+	return archivedPoints(srv, profile)
+}
+
+// archivedPoints reads the server's training archive back as model points,
+// with the clock rate as hardware context.
+func archivedPoints(srv *dbms.Server, profile sim.HardwareProfile) []model.Point {
+	r, err := srv.Archive()
+	if err != nil {
+		log.Fatal(err)
+	}
+	pts, err := model.FromArchive(r, []float64{profile.ClockGHz * 1000})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return pts
 }
 
 func main() {

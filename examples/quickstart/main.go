@@ -11,9 +11,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
+	"tscout/internal/archive"
 	"tscout/internal/kernel"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
@@ -24,7 +26,10 @@ func main() {
 	k := kernel.New(sim.LargeHW, 42, 0.02)
 
 	// 1. Declare the framework and the OU's input features (Setup Phase).
-	ts := tscout.New(k, tscout.Config{Mode: tscout.KernelContinuous, Seed: 1})
+	//    Training points go to a columnar archive, here held in memory.
+	var archived bytes.Buffer
+	aw := archive.NewWriter(&archived)
+	ts := tscout.New(k, tscout.Config{Mode: tscout.KernelContinuous, Seed: 1, ProcessorSink: aw})
 	scan := ts.MustRegisterOU(tscout.OUDef{
 		ID:        1,
 		Name:      "seq_scan",
@@ -60,9 +65,10 @@ func main() {
 	scan.End(worker)
 	scan.Features(worker, 4096, rows, rowBytes)
 
-	// 4. The Processor drains the perf ring buffer into training points.
+	// 4. The Processor drains the perf ring buffer into training points
+	//    and writes them to the archive.
 	ts.Processor().Drain(tscout.DrainOptions{})
-	for _, p := range ts.Processor().Points() {
+	for _, p := range readArchive(aw, &archived) {
 		fmt.Printf("\ntraining point for %q (%s):\n", p.OUName, p.Subsystem)
 		for i, name := range p.FeatureNames {
 			fmt.Printf("  feature %-10s = %.0f\n", name, p.Features[i])
@@ -73,4 +79,21 @@ func main() {
 	}
 	fmt.Printf("\ncollection overhead on the worker: %dns kernel-space, %dns user-space\n",
 		worker.KernelInstrumentationNS, worker.UserInstrumentationNS)
+}
+
+// readArchive seals the writer's pending rows and reads every training
+// point back from the archive bytes.
+func readArchive(w *archive.Writer, buf *bytes.Buffer) []tscout.TrainingPoint {
+	if err := w.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	r, err := archive.NewReader(buf.Bytes())
+	if err != nil {
+		log.Fatal(err)
+	}
+	pts, err := r.Points()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return pts
 }

@@ -32,7 +32,7 @@ func main() {
 	}
 	offSrv.TS.Processor().Drain(tscout.DrainOptions{})
 	hw := []float64{sim.LargeHW.ClockGHz * 1000}
-	offline := model.FromTrainingPoints(offSrv.TS.Processor().Points(), hw)
+	offline := archivedPoints(offSrv, hw)
 	fmt.Printf("offline runner data: %d points\n", len(offline))
 
 	// --- Online data: instrumented TPC-C with 16 clients ---------------
@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	online := model.FromTrainingPoints(onSrv.TS.Processor().Points(), hw)
+	online := archivedPoints(onSrv, hw)
 	fmt.Printf("online TPC-C data:   %d points (%.0f txn/s, %.1f%% aborts)\n",
 		len(online), res.ThroughputTPS,
 		100*float64(res.Aborted)/float64(res.Completed+res.Aborted))
@@ -84,4 +84,17 @@ func main() {
 	}
 	fmt.Println("\nThe WAL subsystems improve the most: their behavior depends on group-commit")
 	fmt.Println("batching that the offline runners never observe (paper §6.5).")
+}
+
+// archivedPoints reads the server's training archive back as model points.
+func archivedPoints(srv *dbms.Server, hw []float64) []model.Point {
+	r, err := srv.Archive()
+	if err != nil {
+		log.Fatal(err)
+	}
+	pts, err := model.FromArchive(r, hw)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return pts
 }

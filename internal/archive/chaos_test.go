@@ -3,9 +3,8 @@ package archive
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
-	"strconv"
+	"sync"
 	"testing"
 
 	"tscout/internal/kernel"
@@ -16,17 +15,35 @@ import (
 // This file re-runs the chaos harness with the columnar segment writer
 // mounted as the Processor's sink: seeded fault schedules (drops, dups,
 // migrations, kills, counter wrap, ring bursts) at drain parallelism 1, 2,
-// and 4. The tscout package proves the pipeline's loss identities over its
-// in-memory archive; here the same identities must hold with the segment
-// sink attached, and the segments must round-trip to exactly the points
-// the in-memory archive holds — bit-equal in sequence at parallelism 1,
-// multiset-equal when concurrent drain threads race for sink delivery
-// order.
+// and 4. The same loss identities the tscout package proves must hold with
+// the segment sink attached, every produced point must reach the sink (the
+// delivery identity), and the segments must round-trip to exactly the
+// points the Processor delivered, bit-equal in sequence at every drain
+// parallelism: workers buffer points per ring and the Processor delivers
+// them after the join in ring order.
+
+// teeSink forwards every batch to the segment Writer and records what it
+// forwarded: the reference the decoded segments are compared against.
+type teeSink struct {
+	*Writer
+	mu  sync.Mutex
+	pts []tscout.TrainingPoint // guarded by mu
+}
+
+func (s *teeSink) WriteBatch(pts []tscout.TrainingPoint) error {
+	if err := s.Writer.WriteBatch(pts); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pts = append(s.pts, pts...)
+	return nil
+}
 
 // runChaosWithSink drives one seeded fault schedule through a deployment
 // whose Processor drains into a segment Writer, using only exported tscout
 // APIs (this package cannot see the pipeline's internals).
-func runChaosWithSink(tb testing.TB, seed int64, par int) (*tscout.TScout, *kernel.Kernel, *Writer, *bytes.Buffer) {
+func runChaosWithSink(tb testing.TB, seed int64, par int) (*tscout.TScout, *kernel.Kernel, *teeSink, *bytes.Buffer) {
 	tb.Helper()
 	const (
 		numCPUs = 4
@@ -40,7 +57,7 @@ func runChaosWithSink(tb testing.TB, seed int64, par int) (*tscout.TScout, *kern
 	k.SetFaultInjector(fi)
 
 	var buf bytes.Buffer
-	aw := NewWriterSize(&buf, 64) // small segments: many seal boundaries
+	aw := &teeSink{Writer: NewWriterSize(&buf, 64)} // small segments: many seal boundaries
 
 	ts := tscout.New(k, tscout.Config{
 		Seed:                     seed,
@@ -112,36 +129,16 @@ func runChaosWithSink(tb testing.TB, seed int64, par int) (*tscout.TScout, *kern
 	return ts, k, aw, &buf
 }
 
-// pointKey canonicalizes one training point for multiset comparison.
-func pointKey(tp tscout.TrainingPoint) string {
-	var b []byte
-	b = strconv.AppendInt(b, int64(tp.OU), 10)
-	b = append(b, '|')
-	b = append(b, tp.OUName...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(tp.Subsystem), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(tp.PID), 10)
-	b = append(b, '|')
-	b = append(b, fmt.Sprintf("%+v", tp.Metrics)...)
-	for i, f := range tp.Features {
-		b = append(b, '|')
-		b = strconv.AppendUint(b, math.Float64bits(f), 16)
-		if i < len(tp.FeatureNames) {
-			b = append(b, ':')
-			b = append(b, tp.FeatureNames[i]...)
-		}
-	}
-	return string(b)
-}
-
 // TestChaosIdentitiesWithSegmentSink asserts, for every seed-corpus fault
 // schedule at drain parallelism 1, 2, and 4:
 //
 //	begins    == submitted + BeginWithoutEnd + TornMigration + StaleReaped + runtime faults
 //	submitted == points + ring drops + decode errors + corrupt discards
 //
-// and that the segment archive captured exactly the surviving points.
+//	processed == sink rows + sink retry drops + pending retry
+//
+// and that the segment archive captured exactly the delivered points, in
+// delivery order.
 func TestChaosIdentitiesWithSegmentSink(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1337} {
 		for _, par := range []int{1, 2, 4} {
@@ -172,17 +169,20 @@ func TestChaosIdentitiesWithSegmentSink(t *testing.T) {
 					}
 				}
 
-				// The sink must have received every archived point: the flush
-				// queue never dropped and the sink never erred, so segment
-				// rows == in-memory archive rows.
-				if st.FlushQueueDrops != 0 || st.SinkRetryDrops != 0 {
-					t.Fatalf("sink deliveries lost: queueDrops=%d retryDrops=%d",
-						st.FlushQueueDrops, st.SinkRetryDrops)
+				// The sink never erred, so it must have received every
+				// produced point.
+				if st.SinkRetryDrops != 0 || st.PendingRetry != 0 {
+					t.Fatalf("sink deliveries lost: retryDrops=%d pendingRetry=%d",
+						st.SinkRetryDrops, st.PendingRetry)
+				}
+				if rows := aw.Rows(); st.Processed != rows+st.SinkRetryDrops+int64(st.PendingRetry) {
+					t.Fatalf("delivery identity: processed %d != sink rows %d + retry drops %d + pending retry %d",
+						st.Processed, rows, st.SinkRetryDrops, st.PendingRetry)
 				}
 				if err := aw.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				mem := p.Points()
+				mem := aw.pts
 				r, err := NewReader(buf.Bytes())
 				if err != nil {
 					t.Fatalf("segment archive unreadable after chaos: %v", err)
@@ -191,35 +191,15 @@ func TestChaosIdentitiesWithSegmentSink(t *testing.T) {
 					t.Fatalf("segment archive fails deep verify after chaos: %v", err)
 				}
 				if r.NumRows() != int64(len(mem)) {
-					t.Fatalf("archive has %d rows, in-memory archive has %d", r.NumRows(), len(mem))
+					t.Fatalf("archive has %d rows, the sink was delivered %d", r.NumRows(), len(mem))
 				}
 				got, err := r.Points()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if par == 1 {
-					// One drain thread flushes batches in archive-sequence
-					// order, so the round-trip is bit-identical in sequence.
-					for i := range mem {
-						if !samePoint(mem[i], got[i]) {
-							t.Fatalf("par=1 point %d differs:\n mem %+v\n seg %+v", i, mem[i], got[i])
-						}
-					}
-				} else {
-					// Concurrent drain threads race for flush-queue slots, so
-					// sink order is scheduling-dependent; the contents must
-					// still match as a multiset.
-					want := map[string]int{}
-					for _, tp := range mem {
-						want[pointKey(tp)]++
-					}
-					for _, tp := range got {
-						want[pointKey(tp)]--
-					}
-					for key, n := range want {
-						if n != 0 {
-							t.Fatalf("par=%d multiset mismatch (%+d) for %s", par, n, key)
-						}
+				for i := range mem {
+					if !samePoint(mem[i], got[i]) {
+						t.Fatalf("point %d differs:\n sent    %+v\n decoded %+v", i, mem[i], got[i])
 					}
 				}
 			})

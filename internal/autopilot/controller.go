@@ -95,10 +95,9 @@ type Controller struct {
 	set     *model.OnlineSet
 
 	mu       sync.Mutex
-	tail     []byte                 // guarded by mu — sealed segments not yet consumed
-	tailSegs int64                  // guarded by mu — segment count in tail
-	drains   int64                  // guarded by mu — OnDrain calls seen
-	stats    tscout.AutopilotStats  // guarded by mu — last published self-report
+	tail     [][]byte                   // guarded by mu — sealed segments not yet consumed
+	drains   int64                      // guarded by mu — OnDrain calls seen
+	stats    tscout.AutopilotStats      // guarded by mu — last published self-report
 	drifting [tscout.NumSubsystems]bool // guarded by mu — current drift latch
 }
 
@@ -124,13 +123,11 @@ func New(ts *tscout.TScout, w *archive.Writer, cfg Config) *Controller {
 	return c
 }
 
-// onSeal buffers one sealed segment's wire bytes for the next tick. The
-// Writer guarantees consecutive seal order from its single flushing
-// goroutine, so the buffered tail is always a NewReader-parsable run.
+// onSeal buffers one sealed segment's wire bytes (the Writer hands over a
+// copy) for the next tick, in seal order.
 func (c *Controller) onSeal(seg []byte) {
 	c.mu.Lock()
-	c.tail = append(c.tail, seg...)
-	c.tailSegs++
+	c.tail = append(c.tail, seg)
 	c.mu.Unlock()
 }
 
@@ -150,37 +147,36 @@ func (c *Controller) Tick() int {
 		c.mu.Unlock()
 		return 0
 	}
-	tail := c.tail
-	segs := c.tailSegs
+	segs := c.tail
 	c.tail = nil
-	c.tailSegs = 0
 	c.mu.Unlock()
 
-	absorbed := 0
-	if len(tail) > 0 {
-		// The tail is a run of consecutively sealed segments; NewReader
-		// accepts any such run (only row-index rewinds are rejected), so
-		// incremental consumption needs no full-archive re-scan.
-		if r, err := archive.NewReader(tail); err == nil {
-			if pts, err := model.FromArchive(r, c.cfg.HWContext); err == nil {
-				c.set.ObservePrequential(pts, c.surface)
-				_ = c.set.Refit() // soft failures keep prior predictors
-				absorbed = len(pts)
-			}
+	// Each sealed segment is one mini-batch: scored, then absorbed by one
+	// model refresh, however many segments a single drain sealed. A
+	// corrupt segment is dropped, not retried: the archive's own
+	// destination still has the bytes.
+	absorbed, refits := 0, int64(0)
+	for _, seg := range segs {
+		r, err := archive.NewReader(seg)
+		if err != nil {
+			continue
 		}
-		// A corrupt tail is dropped, not retried: the archive's own
-		// destination still has the bytes, and the next seal starts a
-		// fresh consecutive run.
+		pts, err := model.FromArchive(r, c.cfg.HWContext)
+		if err != nil || len(pts) == 0 {
+			continue
+		}
+		c.set.ObservePrequential(pts, c.surface)
+		_ = c.set.Refit() // soft failures keep prior predictors
+		absorbed += len(pts)
+		refits++
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Epochs++
-	c.stats.Segments += segs
-	if absorbed > 0 {
-		c.stats.Refits++
-		c.stats.PointsConsumed += int64(absorbed)
-	}
+	c.stats.Segments += int64(len(segs))
+	c.stats.Refits += refits
+	c.stats.PointsConsumed += int64(absorbed)
 	for _, sub := range tscout.AllSubsystems {
 		c.retuneLocked(sub)
 	}

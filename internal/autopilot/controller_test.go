@@ -206,7 +206,19 @@ func TestControllerDeterminism(t *testing.T) {
 		for e := 0; e < 10; e++ {
 			d.epoch(rng, 100, 400)
 		}
-		return d.ctrl.Stats(), d.ts.Sampler().Rates(), d.ts.Processor().Points()
+		st, rates := d.ctrl.Stats(), d.ts.Sampler().Rates()
+		if err := d.aw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := archive.NewReader(d.buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := r.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, rates, pts
 	}
 	st1, r1, p1 := run()
 	st2, r2, p2 := run()
@@ -229,6 +241,7 @@ func TestControllerDeterminism(t *testing.T) {
 //
 //	begins    == submitted + BeginWithoutEnd + TornMigration + StaleReaped + runtime faults
 //	submitted == points + ring drops + decode errors + corrupt discards
+//	processed == sink rows + sink retry drops + pending retry
 //
 // at drain parallelism 1, 2, and 4. Rate retuning changes how many
 // events enter the pipeline; it must never change where they are
@@ -374,12 +387,16 @@ func TestChaosIdentitiesWithAutopilot(t *testing.T) {
 					}
 				}
 
-				// The segment archive still captures exactly the surviving
-				// points: the controller reads seal notifications, it never
-				// taps the delivery path.
-				if st.FlushQueueDrops != 0 || st.SinkRetryDrops != 0 {
-					t.Fatalf("sink deliveries lost: queueDrops=%d retryDrops=%d",
-						st.FlushQueueDrops, st.SinkRetryDrops)
+				// The segment archive still captures every produced point:
+				// the controller reads seal notifications, it never taps the
+				// delivery path.
+				if st.SinkRetryDrops != 0 || st.PendingRetry != 0 {
+					t.Fatalf("sink deliveries lost: retryDrops=%d pendingRetry=%d",
+						st.SinkRetryDrops, st.PendingRetry)
+				}
+				if rows := aw.Rows(); st.Processed != rows+st.SinkRetryDrops+int64(st.PendingRetry) {
+					t.Fatalf("delivery identity: processed %d != sink rows %d + retry drops %d + pending retry %d",
+						st.Processed, rows, st.SinkRetryDrops, st.PendingRetry)
 				}
 				if err := aw.Flush(); err != nil {
 					t.Fatal(err)
@@ -388,8 +405,8 @@ func TestChaosIdentitiesWithAutopilot(t *testing.T) {
 				if err != nil {
 					t.Fatalf("segment archive unreadable after chaos: %v", err)
 				}
-				if r.NumRows() != int64(len(p.Points())) {
-					t.Fatalf("archive rows %d != in-memory rows %d", r.NumRows(), len(p.Points()))
+				if r.NumRows() != st.Processed {
+					t.Fatalf("archive rows %d != processed %d", r.NumRows(), st.Processed)
 				}
 			})
 		}

@@ -6,7 +6,9 @@
 package dbms
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"tscout/internal/archive"
 	"tscout/internal/catalog"
@@ -49,7 +51,8 @@ type Config struct {
 	// threads (0 = the paper's single-threaded Processor).
 	ProcessorParallelism int
 	// Sink receives drained training points (e.g. an archive.Writer or
-	// CSV sink); nil keeps points in memory only.
+	// CSV sink); nil installs an in-memory archive.Writer that Archive
+	// reads back.
 	Sink tscout.Sink
 	// NumCPUs sets the simulated CPU count before TScout deploys, so the
 	// per-CPU rings, task placement, and noise streams all size themselves
@@ -70,6 +73,10 @@ type Server struct {
 	WAL     *wal.Serializer
 	Engine  *exec.Engine
 	TS      *tscout.TScout // nil when uninstrumented
+
+	// archive is the default sink (nil when uninstrumented or when the
+	// caller supplied a sink).
+	archive *memArchive
 
 	netRead  *tscout.Marker
 	netWrite *tscout.Marker
@@ -95,11 +102,16 @@ func NewServer(cfg Config) (*Server, error) {
 
 	var ts *tscout.TScout
 	if cfg.Instrument {
+		sink := cfg.Sink
+		if sink == nil {
+			srv.archive = newMemArchive()
+			sink = srv.archive.w
+		}
 		ts = tscout.New(k, tscout.Config{
 			Mode: cfg.Mode, Seed: cfg.Seed, RingCapacity: cfg.RingCapacity,
 			DisableProcessorFeedback: cfg.DisableFeedback,
 			ProcessorParallelism:     cfg.ProcessorParallelism,
-			ProcessorSink:            cfg.Sink,
+			ProcessorSink:            sink,
 			OptimizeCollectors:       true,
 			CompileCollectors:        true,
 		})
@@ -155,6 +167,52 @@ func NewServer(cfg Config) (*Server, error) {
 // training data in SQL (self-driving introspection).
 func (s *Server) MountArchive(r *archive.Reader) (*catalog.Table, error) {
 	return archive.Mount(s.Catalog, r)
+}
+
+// Archive returns a reader over every training point the server has
+// collected so far, in delivery order. It seals the in-memory archive's
+// pending rows first, so call it after the Processor's final drain. It
+// returns an error when the server is uninstrumented or Config.Sink was
+// set: those points live wherever the caller sent them.
+func (s *Server) Archive() (*archive.Reader, error) {
+	if s.archive == nil {
+		return nil, errors.New("dbms: no in-memory archive: the server is uninstrumented or has a caller-supplied sink")
+	}
+	return s.archive.reader()
+}
+
+// memArchive is the default Processor sink: an archive.Writer sealing into
+// memory.
+type memArchive struct {
+	w   *archive.Writer
+	mu  sync.Mutex
+	buf []byte // guarded by mu — sealed segments, append-only
+}
+
+func newMemArchive() *memArchive {
+	m := &memArchive{}
+	m.w = archive.NewWriter(m)
+	return m
+}
+
+// Write appends one sealed segment; the Writer is its only caller.
+func (m *memArchive) Write(p []byte) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.buf = append(m.buf, p...)
+	return len(p), nil
+}
+
+// reader seals the pending rows and opens the sealed bytes. buf is only
+// ever appended to, so the capped slice the Reader keeps never changes.
+func (m *memArchive) reader() (*archive.Reader, error) {
+	if err := m.w.Flush(); err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	data := m.buf[:len(m.buf):len(m.buf)]
+	m.mu.Unlock()
+	return archive.NewReader(data)
 }
 
 // Session is one client connection with its own worker task and

@@ -1,9 +1,11 @@
 package dbms
 
 import (
+	"io"
 	"strings"
 	"testing"
 
+	"tscout/internal/archive"
 	"tscout/internal/network"
 	"tscout/internal/storage"
 	"tscout/internal/tscout"
@@ -151,9 +153,9 @@ func TestInstrumentedServerCollectsAllSubsystems(t *testing.T) {
 		}
 	}
 	se.SubmitPacket(network.EncodeQuery("SELECT COUNT(*) FROM kv"))
-	srv.TS.Processor().Poll()
+	pts := archivedPoints(t, srv)
 	bySub := map[tscout.SubsystemID]int{}
-	for _, p := range srv.TS.Processor().Points() {
+	for _, p := range pts {
 		bySub[p.Subsystem]++
 	}
 	for _, sub := range tscout.AllSubsystems {
@@ -161,17 +163,47 @@ func TestInstrumentedServerCollectsAllSubsystems(t *testing.T) {
 			t.Fatalf("subsystem %v produced no training data: %v", sub, bySub)
 		}
 	}
-	// Networking points must carry socket metrics.
-	for _, p := range srv.TS.Processor().PointsFor(tscout.SubsystemNetworking) {
+	for _, p := range pts {
+		// Networking points must carry socket metrics, disk writer
+		// points IO metrics.
 		if p.OUName == "net_read" && p.Metrics.NetRecvBytes == 0 {
 			t.Fatalf("net_read without recv bytes: %+v", p)
 		}
-	}
-	// Disk writer points must carry IO metrics.
-	for _, p := range srv.TS.Processor().PointsFor(tscout.SubsystemDiskWriter) {
-		if p.Metrics.DiskWriteBytes == 0 {
+		if p.Subsystem == tscout.SubsystemDiskWriter && p.Metrics.DiskWriteBytes == 0 {
 			t.Fatalf("disk_writer without write bytes: %+v", p)
 		}
+	}
+}
+
+// archivedPoints drains the Processor and reads every training point back
+// from the server's in-memory archive.
+func archivedPoints(t *testing.T, srv *Server) []tscout.TrainingPoint {
+	t.Helper()
+	srv.TS.Processor().Drain(tscout.DrainOptions{})
+	r, err := srv.Archive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := r.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
+}
+
+// TestArchiveNeedsDefaultSink: Archive reads only the server's own
+// in-memory archive; a caller-supplied sink or an uninstrumented server
+// has none.
+func TestArchiveNeedsDefaultSink(t *testing.T) {
+	if _, err := newTestServer(t, false).Archive(); err == nil {
+		t.Fatalf("uninstrumented server returned an archive")
+	}
+	srv, err := NewServer(Config{Seed: 1, Instrument: true, Sink: archive.NewWriter(io.Discard)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Archive(); err == nil {
+		t.Fatalf("server with a caller-supplied sink returned an archive")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tscout/internal/storage"
-	"tscout/internal/tscout"
 	"tscout/internal/txn"
 	"tscout/internal/wal"
 )
@@ -136,9 +135,8 @@ func TestSessionStatementChargesNetworking(t *testing.T) {
 	se.BeginTxn()
 	se.Statement("SELECT COUNT(*) FROM kv")
 	se.Commit()
-	srv.TS.Processor().Poll()
 	reads := 0
-	for _, p := range srv.TS.Processor().PointsFor(tscout.SubsystemNetworking) {
+	for _, p := range archivedPoints(t, srv) {
 		if p.OUName == "net_read" {
 			reads++
 			if p.Metrics.NetRecvBytes <= 0 {

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"tscout/internal/archive"
 	"tscout/internal/catalog"
 	"tscout/internal/kernel"
 	"tscout/internal/sim"
@@ -20,15 +22,23 @@ type testDB struct {
 	k      *kernel.Kernel
 	ts     *tscout.TScout
 	task   *kernel.Task
+
+	// The instrumented DB's training archive, and how many of its points
+	// points has already returned.
+	archived bytes.Buffer
+	archive  *archive.Writer
+	seen     int
 }
 
 func newTestDB(t *testing.T, instrumented bool) *testDB {
 	t.Helper()
 	k := kernel.New(sim.LargeHW, 1, 0)
 	cat := catalog.New()
+	db := &testDB{cat: cat, mgr: txn.NewManager(), k: k, task: k.NewTask("w")}
 	var ts *tscout.TScout
 	if instrumented {
-		ts = tscout.New(k, tscout.Config{Seed: 4})
+		db.archive = archive.NewWriter(&db.archived)
+		ts = tscout.New(k, tscout.Config{Seed: 4, ProcessorSink: db.archive})
 	}
 	eng, err := New(cat, ts)
 	if err != nil {
@@ -40,7 +50,7 @@ func newTestDB(t *testing.T, instrumented bool) *testDB {
 		}
 		ts.Sampler().SetAllRates(100)
 	}
-	db := &testDB{cat: cat, engine: eng, mgr: txn.NewManager(), k: k, ts: ts, task: k.NewTask("w")}
+	db.engine, db.ts = eng, ts
 
 	// accounts(id INT PK btree, branch INT, balance FLOAT, name VARCHAR hash)
 	_, err = cat.CreateTable("accounts", storage.MustSchema(
@@ -325,13 +335,33 @@ func mustParse(t *testing.T, q string) sql.Statement {
 	return s
 }
 
+// points drains the Processor and returns the training points archived
+// since the previous call.
+func (db *testDB) points(t *testing.T) []tscout.TrainingPoint {
+	t.Helper()
+	db.ts.Processor().Drain(tscout.DrainOptions{})
+	if err := db.archive.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := archive.NewReader(db.archived.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := r.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := pts[db.seen:]
+	db.seen = len(pts)
+	return out
+}
+
 func TestInstrumentedQueryEmitsOUTrainingData(t *testing.T) {
 	db := newTestDB(t, true)
 	db.seed(t, 20)
 	db.ts.Processor().Reset()
 	db.run(t, "SELECT id FROM accounts WHERE balance >= 110 ORDER BY id LIMIT 5")
-	db.ts.Processor().Poll()
-	pts := db.ts.Processor().Points()
+	pts := db.points(t)
 	names := map[string]bool{}
 	for _, p := range pts {
 		names[p.OUName] = true
@@ -344,9 +374,8 @@ func TestInstrumentedQueryEmitsOUTrainingData(t *testing.T) {
 	// Index scans for point queries.
 	db.ts.Processor().Reset()
 	db.run(t, "SELECT id FROM accounts WHERE id = 3")
-	db.ts.Processor().Poll()
 	found := false
-	for _, p := range db.ts.Processor().Points() {
+	for _, p := range db.points(t) {
 		if p.OUName == "index_scan" {
 			found = true
 			if p.Features[1] < 1 {
@@ -368,8 +397,7 @@ func TestFusedPipelineEmitsVectorizedFeatures(t *testing.T) {
 	db.engine.FuseSimpleSelects = true
 	db.ts.Processor().Reset()
 	db.run(t, "SELECT id FROM accounts WHERE id = 3")
-	db.ts.Processor().Poll()
-	pts := db.ts.Processor().Points()
+	pts := db.points(t)
 	// The fused sample expands into per-OU points (index_scan + output).
 	names := map[string]int{}
 	for _, p := range pts {

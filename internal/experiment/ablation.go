@@ -59,8 +59,7 @@ func AblationNoise(sc Scale) ([]NoiseAblationRow, error) {
 					return nil, err
 				}
 			}
-			return model.FromTrainingPoints(srv.TS.Processor().Points(),
-				hwContext(defaultProfile())), nil
+			return archivedPoints(srv, defaultProfile())
 		}
 		offline, err := collect(201, true)
 		if err != nil {

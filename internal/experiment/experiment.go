@@ -7,10 +7,8 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
 
-	"tscout/internal/archive"
 	"tscout/internal/dbms"
 	"tscout/internal/model"
 	"tscout/internal/runner"
@@ -97,7 +95,17 @@ func collectOffline(profile sim.HardwareProfile, seed int64, sc Scale) ([]model.
 		return nil, err
 	}
 	srv.TS.Processor().Drain(tscout.DrainOptions{})
-	return model.FromTrainingPoints(srv.TS.Processor().Points(), hwContext(profile)), nil
+	return archivedPoints(srv, profile)
+}
+
+// archivedPoints reads the server's training archive back as model points
+// with hardware context attached.
+func archivedPoints(srv *dbms.Server, profile sim.HardwareProfile) ([]model.Point, error) {
+	r, err := srv.Archive()
+	if err != nil {
+		return nil, err
+	}
+	return model.FromArchive(r, hwContext(profile))
 }
 
 // onlineRun is one instrumented workload execution.
@@ -117,7 +125,7 @@ func collectOnline(profile sim.HardwareProfile, gen workload.Generator,
 	if err != nil {
 		return nil, err
 	}
-	return runOnline(srv, profile, gen, terminals, txns, rate, seed, false, nil)
+	return runOnline(srv, profile, gen, terminals, txns, rate, seed, false)
 }
 
 // collectOnlineComplete is the data-hungry variant: a deep ring and an
@@ -126,16 +134,10 @@ func collectOnline(profile sim.HardwareProfile, gen workload.Generator,
 // whole run (Fig. 11's high-contention sweep, where 20 terminals
 // oversubscribe the budgeted polls several times over) collect with
 // this; the rest keep the production-shaped lossy pipeline.
-//
-// Drain parallelism stays at 1 deliberately: with multiple drain
-// threads the global archive sequence is claimed in wall-clock order,
-// so Points() — and the seeded train/test split downstream — would vary
-// with goroutine scheduling. Completeness comes from ring depth plus
-// the final sweep, not from thread count, and a single thread keeps the
-// collected pool bit-identical across reruns.
+// Completeness comes from ring depth plus the final sweep, not from drain
+// thread count, so it keeps the paper's single drain thread.
 func collectOnlineComplete(profile sim.HardwareProfile, gen workload.Generator,
 	terminals, txns int, rate int, seed int64) (*onlineRun, error) {
-	ac := newArchiveCapture()
 	srv, err := dbms.NewServer(dbms.Config{
 		Profile:              profile,
 		Seed:                 seed,
@@ -145,34 +147,16 @@ func collectOnlineComplete(profile sim.HardwareProfile, gen workload.Generator,
 		DisableFeedback:      true,
 		ProcessorParallelism: 1,
 		RingCapacity:         1 << 17,
-		Sink:                 ac.w,
 		WAL:                  wal.Config{GroupSize: 32, FlushIntervalNS: 200_000},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return runOnline(srv, profile, gen, terminals, txns, rate, seed, true, ac)
-}
-
-// archiveCapture threads the columnar archive through an online run: the
-// Processor's drain path streams segments into buf, and after the run the
-// training points are read back column-wise (model.FromArchive) instead of
-// materializing the in-memory Points() slice. With a single drain thread
-// the sink receives batches in archive order, so the round-trip is
-// bit-identical to the in-memory path.
-type archiveCapture struct {
-	buf bytes.Buffer
-	w   *archive.Writer
-}
-
-func newArchiveCapture() *archiveCapture {
-	ac := &archiveCapture{}
-	ac.w = archive.NewWriter(&ac.buf)
-	return ac
+	return runOnline(srv, profile, gen, terminals, txns, rate, seed, true)
 }
 
 func runOnline(srv *dbms.Server, profile sim.HardwareProfile, gen workload.Generator,
-	terminals, txns int, rate int, seed int64, finalDrain bool, ac *archiveCapture) (*onlineRun, error) {
+	terminals, txns int, rate int, seed int64, finalDrain bool) (*onlineRun, error) {
 	if err := gen.Setup(srv); err != nil {
 		return nil, err
 	}
@@ -184,24 +168,11 @@ func runOnline(srv *dbms.Server, profile sim.HardwareProfile, gen workload.Gener
 	if err != nil {
 		return nil, err
 	}
-	if ac != nil {
-		if err := ac.w.Flush(); err != nil {
-			return nil, err
-		}
-		r, err := archive.NewReader(ac.buf.Bytes())
-		if err != nil {
-			return nil, err
-		}
-		pts, err := model.FromArchive(r, hwContext(profile))
-		if err != nil {
-			return nil, err
-		}
-		return &onlineRun{Points: pts, Result: res}, nil
+	pts, err := archivedPoints(srv, profile)
+	if err != nil {
+		return nil, err
 	}
-	return &onlineRun{
-		Points: model.FromTrainingPoints(srv.TS.Processor().Points(), hwContext(profile)),
-		Result: res,
-	}, nil
+	return &onlineRun{Points: pts, Result: res}, nil
 }
 
 // tpccGen returns the scaled-down TPC-C generator. warehouses follows the

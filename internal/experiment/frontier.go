@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 
 	"tscout/internal/archive"
@@ -147,8 +148,8 @@ func frontierRun(profile sim.HardwareProfile, gen workload.Generator, sc Scale,
 	// Short segments so seals land every few controller epochs: at the
 	// default 4096-row segments the controller would starve until the
 	// final flush and never converge inside the measured run.
-	ac := newArchiveCapture()
-	ac.w = archive.NewWriterSize(&ac.buf, frontierChunk)
+	var buf bytes.Buffer
+	aw := archive.NewWriterSize(&buf, frontierChunk)
 	srv, err := dbms.NewServer(dbms.Config{
 		Profile:              profile,
 		Seed:                 seed,
@@ -157,7 +158,7 @@ func frontierRun(profile sim.HardwareProfile, gen workload.Generator, sc Scale,
 		Mode:                 tscout.KernelContinuous,
 		DisableFeedback:      true,
 		ProcessorParallelism: 1,
-		Sink:                 ac.w,
+		Sink:                 aw,
 		WAL:                  wal.Config{GroupSize: 32, FlushIntervalNS: 200_000},
 	})
 	if err != nil {
@@ -180,7 +181,7 @@ func frontierRun(profile sim.HardwareProfile, gen workload.Generator, sc Scale,
 	}
 	var ctrl *autopilot.Controller
 	if auto {
-		ctrl = autopilot.New(srv.TS, ac.w, autopilot.Config{
+		ctrl = autopilot.New(srv.TS, aw, autopilot.Config{
 			HWContext: hwContext(profile),
 			NewModel:  frontierModel,
 			// Scaled to the short run: decide from ~100 scored samples.
@@ -192,7 +193,7 @@ func frontierRun(profile sim.HardwareProfile, gen workload.Generator, sc Scale,
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ac.w.Flush(); err != nil {
+	if err := aw.Flush(); err != nil {
 		return nil, nil, err
 	}
 
@@ -205,7 +206,7 @@ func frontierRun(profile sim.HardwareProfile, gen workload.Generator, sc Scale,
 
 	set := model.NewOnlineSet(frontierModel)
 	if res.TrainingPoints > 0 {
-		r, err := archive.NewReader(ac.buf.Bytes())
+		r, err := archive.NewReader(buf.Bytes())
 		if err != nil {
 			return nil, nil, err
 		}

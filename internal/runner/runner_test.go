@@ -21,12 +21,27 @@ func offlineServer(t *testing.T) *dbms.Server {
 	return srv
 }
 
+// archivedPoints reads every training point back from the server's
+// archive.
+func archivedPoints(t *testing.T, srv *dbms.Server) []tscout.TrainingPoint {
+	t.Helper()
+	r, err := srv.Archive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := r.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
+}
+
 func TestRunAllGeneratesAllSubsystems(t *testing.T) {
 	srv := offlineServer(t)
 	if err := RunAll(srv, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	pts := srv.TS.Processor().Points()
+	pts := archivedPoints(t, srv)
 	if len(pts) < 200 {
 		t.Fatalf("too little offline data: %d points", len(pts))
 	}
@@ -70,7 +85,7 @@ func TestRunAllSweepsFeatureSpace(t *testing.T) {
 	// The seq_scan OU must have been exercised across multiple table
 	// sizes (the sweep that makes runner data robust, §2.4).
 	sizes := map[uint64]bool{}
-	for _, p := range srv.TS.Processor().Points() {
+	for _, p := range archivedPoints(t, srv) {
 		if p.OUName == "seq_scan" && len(p.Features) > 0 {
 			sizes[uint64(p.Features[0])] = true
 		}
@@ -87,8 +102,8 @@ func TestOfflineWALBatchesAreSingletons(t *testing.T) {
 	}
 	// Synchronous offline config: every serializer sample is one txn —
 	// the exact blind spot §6.5 attributes to offline runners.
-	for _, p := range srv.TS.Processor().PointsFor(tscout.SubsystemLogSerializer) {
-		if len(p.Features) >= 3 && p.Features[2] > 1 {
+	for _, p := range archivedPoints(t, srv) {
+		if p.Subsystem == tscout.SubsystemLogSerializer && len(p.Features) >= 3 && p.Features[2] > 1 {
 			t.Fatalf("offline flush with %v txns; group commit must not batch", p.Features[2])
 		}
 	}

@@ -60,6 +60,7 @@ func runChaos(tb testing.TB, cfg chaosConfig) (*TScout, *kernel.FaultInjector) {
 		Seed:                     cfg.seed,
 		RingCapacity:             cfg.ringCap,
 		ProcessorParallelism:     cfg.par,
+		ProcessorSink:            &recordSink{},
 		DisableProcessorFeedback: true,
 		CompileCollectors:        cfg.compile,
 	})
@@ -137,8 +138,8 @@ func runChaos(tb testing.TB, cfg chaosConfig) (*TScout, *kernel.FaultInjector) {
 	return ts, fi
 }
 
-// assertChaosIdentities checks both exact accounting identities plus
-// archive seq-monotonicity, and returns the total orphan count.
+// assertChaosIdentities checks both exact accounting identities plus the
+// delivery identity, and returns the total orphan count.
 func assertChaosIdentities(tb testing.TB, ts *TScout) OrphanCounts {
 	tb.Helper()
 	p := ts.Processor()
@@ -181,35 +182,16 @@ func assertChaosIdentities(tb testing.TB, ts *TScout) OrphanCounts {
 		}
 		orphans.Add(ks.Orphans)
 
-		// No archived point may carry a cross-CPU base offset or wrapped
+		// No delivered point may carry a cross-CPU base offset or wrapped
 		// delta: that corruption must have been torn/discarded upstream.
-		for _, tp := range p.PointsFor(sub) {
+		for _, tp := range recorded(p).pointsFor(sub) {
 			if tp.Metrics.Cycles >= 1<<40 || tp.Metrics.Instructions >= 1<<40 {
-				tb.Fatalf("%s: corrupt sample reached the archive: %+v", sub, tp.Metrics)
+				tb.Fatalf("%s: corrupt sample reached the sink: %+v", sub, tp.Metrics)
 			}
 		}
 	}
 
-	// Seq-monotonicity (the PR-2 ordering contract) must survive chaos:
-	// strictly increasing per shard, globally unique.
-	seen := map[uint64]bool{}
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		last := uint64(0)
-		for _, e := range sh.archive {
-			if e.seq <= last {
-				sh.mu.Unlock()
-				tb.Fatalf("shard archive seq not strictly increasing: %d after %d", e.seq, last)
-			}
-			if seen[e.seq] {
-				sh.mu.Unlock()
-				tb.Fatalf("duplicate archive seq %d", e.seq)
-			}
-			seen[e.seq] = true
-			last = e.seq
-		}
-		sh.mu.Unlock()
-	}
+	checkDelivery(tb, p)
 	return orphans
 }
 

@@ -2,9 +2,6 @@ package tscout
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
-	"sync"
 	"testing"
 
 	"tscout/internal/kernel"
@@ -17,7 +14,7 @@ import (
 //
 //	submitted == archived + dropped_ring + dropped_queue + dropped_shape
 //
-// where archived is the training points in the shard archives, dropped_ring
+// where archived is the training points produced for the sink, dropped_ring
 // is ring-buffer overwrite, dropped_queue is user-queue overflow, and
 // dropped_shape is samples the Processor drained but could not decode.
 // Every sample a probe ever offered must be in exactly one of those
@@ -33,6 +30,7 @@ func deployInvariant(t *testing.T, mode Mode, seed int64, ringCap, par int) (*TS
 		RingCapacity:             ringCap,
 		Seed:                     seed,
 		ProcessorParallelism:     par,
+		ProcessorSink:            &recordSink{},
 		DisableProcessorFeedback: true,
 	})
 	scan := ts.MustRegisterOU(OUDef{
@@ -85,9 +83,7 @@ func checkKernelIdentity(t *testing.T, ts *TScout) int64 {
 		}
 		totalDropped += rs.Dropped
 	}
-	if got := int64(len(p.Points())); got != st.Processed {
-		t.Fatalf("merged archive has %d points, Processed says %d", got, st.Processed)
-	}
+	checkDelivery(t, p)
 	return totalDropped
 }
 
@@ -129,9 +125,9 @@ func TestPipelineAccountingIdentity(t *testing.T) {
 				}
 				// Budgeted drains race the submitters under the same
 				// deterministic schedule.
-				iv.Add("drain", 15, func(int) { p.PollBudget(3) })
+				iv.Add("drain", 15, func(int) { p.Drain(DrainOptions{Budget: 3}) })
 				iv.Run()
-				p.Poll() // unbudgeted sweep: empty the rings
+				p.Drain(DrainOptions{}) // unbudgeted sweep: empty the rings
 
 				dropped := checkKernelIdentity(t, ts)
 				if dropped == 0 {
@@ -174,7 +170,7 @@ func TestUserQueueAccountingIdentity(t *testing.T) {
 			for i := 0; i < userQueueCapacity+100; i++ {
 				p.SubmitUserSample(EncodeSample(testOUSeqScan, 1, Metrics{}, []uint64{1, 2}))
 			}
-			p.Poll()
+			p.Drain(DrainOptions{})
 
 			st := p.Stats()
 			if st.User.Submitted != st.User.Drained+st.User.Dropped {
@@ -193,81 +189,4 @@ func TestUserQueueAccountingIdentity(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestMergedArchiveSeqMonotonic drains concurrently with live submitters
-// (real goroutines, real races for the -race build) and then checks the
-// ordering contract: each shard archive is strictly seq-increasing, seqs
-// are globally unique, and Points() equals the seq-merge of the shards.
-func TestMergedArchiveSeqMonotonic(t *testing.T) {
-	ts, k, scan, wal := deployInvariant(t, KernelContinuous, 11, 64, 2)
-	p := ts.Processor()
-
-	const workers, iters = 4, 150
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			task := k.NewTask(fmt.Sprintf("worker%d", w))
-			for i := 0; i < iters; i++ {
-				m := scan
-				if (w+i)%3 == 0 {
-					m = wal
-				}
-				runOU(ts, task, m,
-					sim.Work{Instructions: 5000, BytesTouched: 2048, AllocBytes: 64},
-					uint64(i), uint64(w))
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for draining := true; draining; {
-		select {
-		case <-done:
-			draining = false
-		default:
-			p.PollBudget(32)
-		}
-	}
-	p.Poll()
-
-	type flatEntry struct {
-		seq uint64
-		tp  TrainingPoint
-	}
-	var all []flatEntry
-	seen := make(map[uint64]bool)
-	for sub, sh := range p.shards {
-		sh.mu.Lock()
-		prev := uint64(0)
-		for _, e := range sh.archive {
-			if e.seq <= prev {
-				sh.mu.Unlock()
-				t.Fatalf("shard %d archive not strictly seq-increasing: %d after %d", sub, e.seq, prev)
-			}
-			prev = e.seq
-			if seen[e.seq] {
-				sh.mu.Unlock()
-				t.Fatalf("seq %d archived in more than one shard", e.seq)
-			}
-			seen[e.seq] = true
-			all = append(all, flatEntry{seq: e.seq, tp: e.tp})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	merged := make([]TrainingPoint, len(all))
-	for i, e := range all {
-		merged[i] = e.tp
-	}
-	pts := p.Points()
-	if !reflect.DeepEqual(merged, pts) {
-		t.Fatalf("Points() is not the seq-merge of the shard archives (%d vs %d points)", len(pts), len(merged))
-	}
-	if int64(len(pts)) != p.Processed() {
-		t.Fatalf("archive holds %d points, Processed says %d", len(pts), p.Processed())
-	}
-	checkKernelIdentity(t, ts)
 }

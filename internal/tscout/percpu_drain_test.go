@@ -1,10 +1,8 @@
 package tscout
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -26,6 +24,7 @@ func deployPerCPU(t *testing.T, seed int64, numCPUs, ringCap, par int) (*TScout,
 		RingCapacity:             ringCap,
 		Seed:                     seed,
 		ProcessorParallelism:     par,
+		ProcessorSink:            &recordSink{},
 		DisableProcessorFeedback: true,
 	})
 	scan := ts.MustRegisterOU(OUDef{
@@ -193,7 +192,7 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 				if active < 2 {
 					t.Fatalf("submissions landed on %d execution-engine rings; per-CPU routing is not spreading", active)
 				}
-				return p.Stats(), p.Points()
+				return p.Stats(), recorded(p).points()
 			}
 
 			st1, pts1 := run()
@@ -201,40 +200,21 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 			if !reflect.DeepEqual(st1, st2) {
 				t.Fatalf("stats differ across identical seeded runs:\n%+v\n%+v", st1, st2)
 			}
-			// With one drain thread the whole pipeline is serial and the
-			// archive order itself is deterministic. With more threads the
-			// workers interleave archive appends for real, so the archive
-			// ORDER is scheduling-dependent — but the point multiset must
-			// still be identical run to run.
-			if par == 1 {
-				if !reflect.DeepEqual(pts1, pts2) {
-					t.Fatalf("training points differ across identical seeded runs")
-				}
-			} else {
-				if !reflect.DeepEqual(sortedPointKeys(pts1), sortedPointKeys(pts2)) {
-					t.Fatalf("training point multisets differ across identical seeded runs")
-				}
+			// Workers buffer points per ring and the sink receives them
+			// after the join in global ring order, so the delivered
+			// sequence itself is deterministic at every drain width.
+			if !reflect.DeepEqual(pts1, pts2) {
+				t.Fatalf("delivered points differ across identical seeded runs")
 			}
 		})
 	}
 }
 
-// sortedPointKeys canonicalizes training points for order-independent
-// comparison.
-func sortedPointKeys(pts []TrainingPoint) []string {
-	keys := make([]string, len(pts))
-	for i, tp := range pts {
-		keys[i] = fmt.Sprintf("%d|%d|%+v|%v", tp.OU, tp.PID, tp.Metrics, tp.Features)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // TestAffinityShardedDrainConcurrent is the -race exercise of the
 // affinity-sharded drain: real submitter goroutines on tasks pinned to
 // every simulated CPU race concurrent multi-thread drains. Afterwards the
-// per-ring identity, the shard identity, and the merged-archive seq
-// contract must all hold, and the batched path must have actually batched.
+// per-ring identity, the shard identity, and the delivery identity must all
+// hold, and the batched path must have actually batched.
 func TestAffinityShardedDrainConcurrent(t *testing.T) {
 	const numCPUs, par = 8, 4
 	ts, k, scan, wal := deployPerCPU(t, 21, numCPUs, 64, par)
@@ -283,26 +263,6 @@ func TestAffinityShardedDrainConcurrent(t *testing.T) {
 		t.Fatalf("no drain batches recorded in the histogram")
 	}
 
-	// Merged-archive contract under concurrent multi-thread drains: each
-	// shard strictly seq-increasing, seqs globally unique.
-	seen := make(map[uint64]bool)
-	for sub, sh := range p.shards {
-		sh.mu.Lock()
-		prev := uint64(0)
-		for _, e := range sh.archive {
-			if e.seq <= prev {
-				sh.mu.Unlock()
-				t.Fatalf("shard %d archive not strictly seq-increasing: %d after %d", sub, e.seq, prev)
-			}
-			prev = e.seq
-			if seen[e.seq] {
-				sh.mu.Unlock()
-				t.Fatalf("seq %d archived in more than one shard", e.seq)
-			}
-			seen[e.seq] = true
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // TestDrainOptionsSemantics pins PerRingCap and MaxBatches behavior with
@@ -352,41 +312,11 @@ func TestDrainOptionsSemantics(t *testing.T) {
 	}
 }
 
-// recordingBatchSink records how points arrive through the batch-first
-// Sink interface.
-type recordingBatchSink struct {
-	mu           sync.Mutex
-	batched      int
-	batchCalls   int
-	failBatches  bool
-	pointsInFail int
-}
-
-func (s *recordingBatchSink) WriteBatch(pts []TrainingPoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.batchCalls++
-	if s.failBatches {
-		s.pointsInFail += len(pts)
-		return errors.New("sink down")
-	}
-	s.batched += len(pts)
-	return nil
-}
-
-func (s *recordingBatchSink) Flush() error { return nil }
-
-func (s *recordingBatchSink) Rows() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(s.batched)
-}
-
 // TestBatchSinkFastPath checks every point is delivered through WriteBatch
 // with whole drained batches (not one-element wraps), and that a batch
 // error is charged against every point in the failed batch.
 func TestBatchSinkFastPath(t *testing.T) {
-	sink := &recordingBatchSink{}
+	sink := &recordSink{}
 	k := kernel.New(sim.LargeHW, 3, 0)
 	k.SetNumCPUs(2)
 	ts := New(k, Config{Seed: 3, ProcessorSink: sink, DisableProcessorFeedback: true})
@@ -406,7 +336,7 @@ func TestBatchSinkFastPath(t *testing.T) {
 	p.Drain(DrainOptions{})
 
 	sink.mu.Lock()
-	batched, calls := sink.batched, sink.batchCalls
+	batched, calls := len(sink.pts), sink.calls
 	sink.mu.Unlock()
 	if calls == 0 || int64(batched) != p.Stats().Processed {
 		t.Fatalf("batched delivery: %d points over %d calls, want all %d points",
@@ -420,15 +350,13 @@ func TestBatchSinkFastPath(t *testing.T) {
 	}
 
 	// A failing WriteBatch counts against every point in the batch.
-	sink.mu.Lock()
-	sink.failBatches = true
-	sink.mu.Unlock()
+	sink.setDown(true)
 	for i := 0; i < 5; i++ {
 		runOU(ts, task, scan, sim.Work{Instructions: 1000}, uint64(i), 2)
 	}
 	p.Drain(DrainOptions{})
 	sink.mu.Lock()
-	failed := sink.pointsInFail
+	failed := sink.rejected
 	sink.mu.Unlock()
 	if failed == 0 {
 		t.Fatalf("failing sink never saw a batch")
@@ -437,39 +365,3 @@ func TestBatchSinkFastPath(t *testing.T) {
 		t.Fatalf("SinkErrors = %d, want %d (one per point in failed batches)", got, failed)
 	}
 }
-
-// TestWritePoint covers the inverted adapter direction: the point-write
-// convenience wraps the batch-first interface, delivering a one-element
-// batch per call and surfacing the batch error unchanged.
-func TestWritePoint(t *testing.T) {
-	var wrote []int
-	fail := errors.New("bad point")
-	s := sinkFunc(func(pts []TrainingPoint) error {
-		for _, tp := range pts {
-			wrote = append(wrote, tp.PID)
-			if tp.PID == 2 {
-				return fail
-			}
-		}
-		return nil
-	})
-	var err error
-	for _, tp := range []TrainingPoint{{PID: 1}, {PID: 2}, {PID: 3}} {
-		if werr := WritePoint(s, tp); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	if err != fail {
-		t.Fatalf("WritePoint error = %v, want the sink's batch error", err)
-	}
-	if !reflect.DeepEqual(wrote, []int{1, 2, 3}) {
-		t.Fatalf("adapter delivered %v, want every point in order", wrote)
-	}
-}
-
-// sinkFunc adapts a batch function to Sink.
-type sinkFunc func([]TrainingPoint) error
-
-func (f sinkFunc) WriteBatch(pts []TrainingPoint) error { return f(pts) }
-func (f sinkFunc) Flush() error                         { return nil }
-func (f sinkFunc) Rows() int64                          { return 0 }

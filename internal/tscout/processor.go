@@ -3,9 +3,7 @@ package tscout
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"tscout/internal/bpf"
 	"tscout/internal/kernel"
@@ -41,14 +39,9 @@ const userQueueCapacity = 4096
 // thread time are both charged at this multiple.
 const userDrainPenalty = 3
 
-// flushQueueCapacity bounds the sink handoff queue. Sink writes happen
-// outside every Processor lock; if the sink cannot keep up the queue drops
-// points (counted in stats) rather than stalling sample intake.
-const flushQueueCapacity = 8192
-
 // maxSinkRetries bounds redelivery attempts for a batch the sink rejected.
-// After the last attempt fails the points are dropped (SinkRetryDrops) —
-// the archive keeps them, so a flaky sink degrades delivery, not intake.
+// After the last attempt fails the points are dropped (SinkRetryDrops), so
+// a flaky sink degrades delivery, not intake.
 const maxSinkRetries = 3
 
 // maxRetryQueueBatches bounds the sink retry queue; a persistently dead
@@ -142,7 +135,8 @@ func BudgetForPeriod(periodNS int64) int {
 // call, so a sink amortizes its per-write overhead (lock acquisition, row
 // encoding, syscalls) across a whole flush. A WriteBatch error counts
 // against every point in the batch — the sink rejected the delivery as a
-// unit. A nil sink keeps points only in the in-memory archive.
+// unit. The sink is the only place a training point is kept: with a nil
+// sink, points are counted in Stats and discarded.
 //
 // Sink calls are issued outside all Processor locks, so a Sink may call
 // back into the Processor (stats, submissions) without deadlocking.
@@ -154,13 +148,6 @@ type Sink interface {
 	Flush() error
 	// Rows reports the number of points written so far.
 	Rows() int64
-}
-
-// WritePoint is the point-write convenience over the batch-first Sink: it
-// wraps the point in a one-element batch. Code that produces points one at
-// a time (tests, examples) uses it; the Processor never does.
-func WritePoint(s Sink, p TrainingPoint) error {
-	return s.WriteBatch([]TrainingPoint{p})
 }
 
 // StickySink is optionally implemented by sinks whose write errors are
@@ -183,21 +170,11 @@ type StickySink interface {
 // normalized over the sample. The default splits equally.
 type SplitWeightFunc func(ou OUID, features []float64) float64
 
-// archEntry tags an archived point with a global sequence number so the
-// per-subsystem shard archives can be merged back into processing order.
-type archEntry struct {
-	seq uint64
-	tp  TrainingPoint
-}
-
-// drainShard is one subsystem's slice of the drain pipeline: its archive
-// segment and its telemetry counters. Sharding keeps archive appends and
-// stat updates off the Processor-wide mutex, and lets PointsFor serve a
-// subsystem without scanning the merged archive.
+// drainShard is one subsystem's slice of the drain pipeline: its telemetry
+// counters, kept off the Processor-wide mutex.
 type drainShard struct {
-	mu      sync.Mutex
-	archive []archEntry    // guarded by mu
-	stats   SubsystemStats // guarded by mu
+	mu    sync.Mutex
+	stats SubsystemStats // guarded by mu
 }
 
 func (s *drainShard) snapshotStats() SubsystemStats {
@@ -210,9 +187,8 @@ func (s *drainShard) snapshotStats() SubsystemStats {
 // sharded, budgeted, self-observable pipeline: per-subsystem drain shards
 // share one global token budget per drain period (a single thread-period
 // times the configured parallelism), decode/transform runs batched per
-// shard on the modeled drain threads, archives are sharded per subsystem
-// and merged on read, and sink writes leave through a bounded flush queue
-// outside every lock.
+// shard on the modeled drain threads, and every point leaves through the
+// flush queue to the Sink, outside every lock.
 type Processor struct {
 	ts   *TScout
 	sink Sink
@@ -223,7 +199,6 @@ type Processor struct {
 	pollMu sync.Mutex
 
 	shards [NumSubsystems]*drainShard
-	seq    atomic.Uint64
 
 	mu                  sync.Mutex
 	group               *kernel.TaskGroup            // guarded by mu
@@ -234,7 +209,6 @@ type Processor struct {
 	lastUserDropped     int64                        // guarded by mu
 	splitter            SplitWeightFunc              // guarded by mu
 	pendingFlush        []TrainingPoint              // guarded by mu
-	flushDrops          int64                        // guarded by mu
 	retryQueue          []retryBatch                 // guarded by mu
 	sinkRetries         int64                        // guarded by mu
 	sinkRetryDrops      int64                        // guarded by mu
@@ -291,16 +265,6 @@ func (p *Processor) SubmitUserSample(buf []byte) {
 	p.userQueue = append(p.userQueue, buf)
 }
 
-// UserSubmitted reports samples offered to the user-probe queue.
-//
-// Deprecated: read Stats().User.Submitted.
-func (p *Processor) UserSubmitted() int64 { return p.Stats().User.Submitted }
-
-// UserDropped reports samples lost to user-queue overflow.
-//
-// Deprecated: read Stats().User.Dropped.
-func (p *Processor) UserDropped() int64 { return p.Stats().User.Dropped }
-
 // Task returns the first of the Processor's drain-thread tasks (created on
 // first use), on which its processing time is charged. With the default
 // parallelism of 1 this is the paper's single-threaded Processor.
@@ -355,23 +319,9 @@ type DrainResult struct {
 	Batches int
 }
 
-// Poll drains all pending samples without a budget: the offline path,
-// where the Processor has idle time between sweeps.
-//
-// Deprecated: use Drain(DrainOptions{}).
-func (p *Processor) Poll() int { return p.Drain(DrainOptions{}).Points }
-
-// PollBudget runs one drain period with the sample budget one period
-// affords a single drain thread (0 = unlimited).
-//
-// Deprecated: use Drain(DrainOptions{Budget: budget}).
-func (p *Processor) PollBudget(budget int) int {
-	return p.Drain(DrainOptions{Budget: budget}).Points
-}
-
 // drainTally accumulates one drain thread's work for the post-join merge:
 // workers never touch shard stats directly, so the only cross-thread
-// synchronization on the drain path is the archive/flush handoff.
+// synchronization on the drain path is the flush handoff.
 type drainTally struct {
 	drained       [NumSubsystems]int64
 	decodeErrs    [NumSubsystems]int64
@@ -390,7 +340,7 @@ type drainTally struct {
 // produced. Each modeled drain thread owns a disjoint set of CPU rings
 // (ring affinity: global ring index mod parallelism), the effective budget
 // is waterfilled over each thread's rings, and the threads run as real
-// goroutines — batched decode/transform/archive proceeds concurrently with
+// goroutines — batched decode/transform proceeds concurrently with
 // zero cross-thread ring-lock sharing. Sustained oversubmission overwrites
 // ring entries (kernel path) or overflows the user queue, and the
 // pipeline's efficiency degrades under overload — the §6.2 dynamics behind
@@ -531,12 +481,12 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 
 	// Affinity-sharded drain: one goroutine per modeled drain thread, each
 	// draining only the rings it owns into its own reusable batch buffer.
-	// Workers buffer the points they produce per ring instead of archiving
-	// inline — ring ownership is disjoint, so the slots are race-free — and
-	// the post-join loop below archives them in global ring order. Archive
-	// sequence numbers are therefore a pure function of the drained data:
-	// the same seed yields bit-identical archives at any drain parallelism,
-	// and parallelism 1 reproduces the historical inline order exactly.
+	// Workers buffer the points they produce per ring — ring ownership is
+	// disjoint, so the slots are race-free — and the post-join loop below
+	// queues them for the sink in global ring order. Delivery order is
+	// therefore a pure function of the drained data: the same seed yields
+	// bit-identical sink output at any drain parallelism, and parallelism 1
+	// reproduces the historical inline order exactly.
 	tallies := make([]drainTally, parallelism)
 	ptsByRing := make([][]TrainingPoint, numRings+1)
 	var wg sync.WaitGroup
@@ -548,9 +498,14 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		}(t)
 	}
 	wg.Wait()
-	for g := 0; g <= numRings; g++ {
-		p.archivePoints(ptsByRing[g])
+	p.mu.Lock()
+	for _, pts := range ptsByRing {
+		p.processed += int64(len(pts))
+		if p.sink != nil {
+			p.pendingFlush = append(p.pendingFlush, pts...)
+		}
 	}
+	p.mu.Unlock()
 
 	// Charge virtual time after the join: Task charging shares the kernel's
 	// (unsynchronized, deterministic) noise stream, so it must run serially
@@ -630,8 +585,8 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 // slot of ptsByRing, and (for the owner of the user pseudo-ring) drain the
 // user-probe queue into the pseudo-ring slot. Everything it touches is
 // either thread-owned (batch, tally, ring set, its ptsByRing slots) or
-// internally synchronized (user queue); archiving happens post-join in
-// ring order so the archive sequence is parallelism-independent.
+// internally synchronized (user queue); sink queueing happens post-join in
+// ring order so delivery order is parallelism-independent.
 func (p *Processor) drainWorker(t, parallelism, numRings int, cols *[NumSubsystems]*Collector, alloc []int, tally *drainTally, ptsByRing [][]TrainingPoint) {
 	batch := &p.drainBatches[t]
 	numCPUs := numRings / int(NumSubsystems)
@@ -755,7 +710,7 @@ func waterfill(demands []int, tokens int) []int {
 }
 
 // processUserBatch transforms drained user-probe samples and returns the
-// points for the post-join archive pass; points count toward the shard of
+// points for the post-join flush queue; points count toward the shard of
 // the OU's subsystem, while drain/decode accounting stays on the
 // user-queue stats.
 func (p *Processor) processUserBatch(bufs [][]byte) []TrainingPoint {
@@ -775,7 +730,7 @@ func (p *Processor) processUserBatch(bufs [][]byte) []TrainingPoint {
 		pts = append(pts, out...)
 	}
 
-	// Archived points count toward the subsystem shard they decode into.
+	// Points count toward the subsystem shard they decode into.
 	perSub := [NumSubsystems]int64{}
 	for _, tp := range pts {
 		perSub[tp.Subsystem]++
@@ -801,34 +756,6 @@ func (p *Processor) processUserBatch(bufs [][]byte) []TrainingPoint {
 	return pts
 }
 
-// archivePoints appends finished points to their subsystems' archive
-// shards and enqueues them on the bounded flush queue for sink delivery.
-// No sink call happens here: delivery is deferred to flushSink, outside
-// every Processor lock.
-func (p *Processor) archivePoints(pts []TrainingPoint) {
-	if len(pts) == 0 {
-		return
-	}
-	for _, tp := range pts {
-		sh := p.shards[tp.Subsystem]
-		sh.mu.Lock()
-		sh.archive = append(sh.archive, archEntry{seq: p.seq.Add(1), tp: tp})
-		sh.mu.Unlock()
-	}
-	p.mu.Lock()
-	p.processed += int64(len(pts))
-	if p.sink != nil {
-		for _, tp := range pts {
-			if len(p.pendingFlush) >= flushQueueCapacity {
-				p.flushDrops++
-				continue
-			}
-			p.pendingFlush = append(p.pendingFlush, tp)
-		}
-	}
-	p.mu.Unlock()
-}
-
 // retryBatch is one failed sink delivery awaiting redelivery: the points,
 // how many attempts have failed, and the poll count before which the next
 // attempt must not run (exponential backoff in drain periods).
@@ -838,10 +765,11 @@ type retryBatch struct {
 	notBefore int64
 }
 
-// flushSink drains the bounded flush queue to the sink. It holds no
-// Processor lock across WriteBatch, so a slow sink only delays delivery (and
-// eventually drops from the bounded queue) and a re-entrant sink — one
-// that submits samples or reads stats — cannot deadlock intake.
+// flushSink drains the flush queue to the sink. The queue only holds points
+// this drain produced, and it is empty again before Drain returns. No
+// Processor lock is held across WriteBatch, so a slow sink only delays
+// delivery and a re-entrant sink — one that submits samples or reads
+// stats — cannot deadlock intake.
 //
 // Failed deliveries are retried on later flushes with bounded exponential
 // backoff (see retryBatch); after maxSinkRetries failures the points are
@@ -932,8 +860,8 @@ func (p *Processor) sinkStickyErr() error {
 // failure) and the pending flush queue is charged and dropped in one
 // step. Without it, every queued batch burned maxSinkRetries backoff
 // cycles — 2+4+8 drain periods of guaranteed-futile redelivery each —
-// against a sink that can never accept another write. The archive shards
-// still hold every dropped point, so the loss identities are unchanged.
+// against a sink that can never accept another write. Every dropped point
+// is counted, so the delivery identity still holds.
 func (p *Processor) failStickySink() {
 	p.mu.Lock()
 	for _, rb := range p.retryQueue {
@@ -1133,7 +1061,7 @@ func (p *Processor) applyFeedback(deltaSub, deltaDrop [NumSubsystems]int64) {
 // Stats returns a self-observability snapshot of the drain pipeline:
 // per-shard counters (with per-period deltas), the last period's budget
 // before and after overload degradation, feedback actions taken, and
-// flush-queue health. Ring submitted/dropped totals are read live so the
+// sink delivery health. Ring submitted/dropped totals are read live so the
 // snapshot reflects samples submitted since the last poll too.
 func (p *Processor) Stats() ProcessorStats {
 	var st ProcessorStats
@@ -1158,7 +1086,6 @@ func (p *Processor) Stats() ProcessorStats {
 	st.GlobalBudget = p.lastGlobalBudget
 	st.EffectiveBudget = p.lastEffectiveBudget
 	st.FeedbackActions = p.feedbackActions
-	st.FlushQueueDrops = p.flushDrops
 	st.PendingFlush = len(p.pendingFlush)
 	st.SinkRetries = p.sinkRetries
 	st.SinkRetryDrops = p.sinkRetryDrops
@@ -1182,73 +1109,13 @@ func (p *Processor) SetAutopilotStats(st AutopilotStats) {
 	p.mu.Unlock()
 }
 
-// Points returns a snapshot of the archived training points across all
-// shards, merged back into processing order.
-func (p *Processor) Points() []TrainingPoint {
-	var entries []archEntry
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		entries = append(entries, sh.archive...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	out := make([]TrainingPoint, len(entries))
-	for i, e := range entries {
-		out[i] = e.tp
-	}
-	return out
-}
-
-// PointsFor returns the archived points for one subsystem. Archives are
-// sharded per subsystem, so this reads a single shard without scanning or
-// merging.
-func (p *Processor) PointsFor(sub SubsystemID) []TrainingPoint {
-	sh := p.shards[sub]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]TrainingPoint, len(sh.archive))
-	for i, e := range sh.archive {
-		out[i] = e.tp
-	}
-	return out
-}
-
-// Processed returns the total number of training points produced.
-//
-// Deprecated: read Stats().Processed — the Stats snapshot is the single
-// source of truth for pipeline telemetry.
-func (p *Processor) Processed() int64 { return p.Stats().Processed }
-
-// DecodeErrors returns the number of undecodable samples seen.
-//
-// Deprecated: sum DecodeErrors over Stats().Kernel and Stats().User.
-func (p *Processor) DecodeErrors() int64 {
-	st := p.Stats()
-	n := st.User.DecodeErrors
-	for _, k := range st.Kernel {
-		n += k.DecodeErrors
-	}
-	return n
-}
-
-// SinkErrors returns the number of training points the sink rejected.
-//
-// Deprecated: sum SinkErrors over Stats().Kernel.
-func (p *Processor) SinkErrors() int64 {
-	st := p.Stats()
-	var n int64
-	for _, k := range st.Kernel {
-		n += k.SinkErrors
-	}
-	return n
-}
-
-// Reset clears the archive, all pipeline statistics, and the demand
-// baselines (between experiment trials). The Collector ring buffers are
+// Reset clears all pipeline statistics and the demand baselines (between
+// experiment trials). The Collector ring buffers are
 // reset too: a trial must not start with the previous trial's pending
 // samples, and — just as important — the first post-reset poll must not
 // compute its demand or feedback deltas from a previous trial's cumulative
-// counters. Points already handed to the flush queue are discarded.
+// counters. Points still queued for sink delivery or redelivery are
+// discarded.
 func (p *Processor) Reset() {
 	p.pollMu.Lock()
 	defer p.pollMu.Unlock()
@@ -1259,7 +1126,6 @@ func (p *Processor) Reset() {
 	}
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		sh.archive = nil
 		sh.stats = SubsystemStats{}
 		sh.mu.Unlock()
 	}
@@ -1270,7 +1136,6 @@ func (p *Processor) Reset() {
 	p.lastRing = [NumSubsystems]bpf.RingStats{}
 	p.lastUserSubmitted, p.lastUserDropped = 0, 0
 	p.pendingFlush = nil
-	p.flushDrops = 0
 	p.retryQueue = nil
 	p.sinkRetries, p.sinkRetryDrops = 0, 0
 	p.processed = 0

@@ -15,6 +15,9 @@ func newShardedDeployment(t *testing.T, cfg Config) (*TScout, [NumSubsystems]OUI
 	t.Helper()
 	k := kernel.New(sim.LargeHW, 3, 0)
 	cfg.Mode = KernelContinuous
+	if cfg.ProcessorSink == nil {
+		cfg.ProcessorSink = &recordSink{}
+	}
 	ts := New(k, cfg)
 	var ous [NumSubsystems]OUID
 	for i, sub := range AllSubsystems {
@@ -39,6 +42,25 @@ func submitKernel(ts *TScout, sub SubsystemID, ou OUID, n int) {
 	}
 }
 
+// TestLargeDrainDeliversEveryPoint is the regression test for the old
+// 8192-point flush-queue cap: the queue only ever held points the current
+// drain had already produced, so the cap bounded no memory and silently
+// dropped the tail of any large drain. One unbudgeted drain of 10,000
+// pending samples must put every point in the sink.
+func TestLargeDrainDeliversEveryPoint(t *testing.T) {
+	const n = 10_000
+	ts, ous := newShardedDeployment(t, Config{Seed: 8, RingCapacity: 1 << 14})
+	submitKernel(ts, SubsystemExecutionEngine, ous[SubsystemExecutionEngine], n)
+	p := ts.Processor()
+	if res := p.Drain(DrainOptions{}); res.Points != n {
+		t.Fatalf("drain produced %d points, want %d", res.Points, n)
+	}
+	if got := recorded(p).Rows(); got != n {
+		t.Fatalf("sink received %d of %d points", got, n)
+	}
+	checkDelivery(t, p)
+}
+
 // TestFeedbackFiresLateInLongRun is the regression test for the feedback
 // accounting bug: the drop threshold was compared against the ring's
 // cumulative submission count instead of the period's, so the longer a
@@ -55,7 +77,7 @@ func TestFeedbackFiresLateInLongRun(t *testing.T) {
 	// A long healthy run: 200 periods of 50 samples, fully drained.
 	for period := 0; period < 200; period++ {
 		submitKernel(ts, sub, ous[sub], 50)
-		p.PollBudget(200)
+		p.Drain(DrainOptions{Budget: 200})
 	}
 	if got := ts.Sampler().Rate(sub); got != 100 {
 		t.Fatalf("feedback fired during healthy run: rate=%d", got)
@@ -65,7 +87,7 @@ func TestFeedbackFiresLateInLongRun(t *testing.T) {
 	// samples this period (18%% of the period's 5000, but only 6%% of the
 	// run's cumulative 15000).
 	submitKernel(ts, sub, ous[sub], 5000)
-	p.PollBudget(200)
+	p.Drain(DrainOptions{Budget: 200})
 	if got := ts.Sampler().Rate(sub); got >= 100 {
 		t.Fatalf("feedback did not fire on a late drop burst: rate=%d", got)
 	}
@@ -75,8 +97,9 @@ func TestFeedbackFiresLateInLongRun(t *testing.T) {
 }
 
 // TestResetClearsPipelineState: Reset must clear the user-queue counters
-// and the per-period baselines, not just the archive — stale baselines
-// would poison the first post-reset feedback and demand computation.
+// and the per-period baselines, not just the totals — stale baselines
+// would poison the first post-reset feedback and demand computation. The
+// sink owns what it was delivered, so Reset leaves it alone.
 func TestResetClearsPipelineState(t *testing.T) {
 	ts, ous := newShardedDeployment(t, Config{Seed: 6, RingCapacity: 64})
 	p := ts.Processor()
@@ -86,23 +109,24 @@ func TestResetClearsPipelineState(t *testing.T) {
 		p.SubmitUserSample(EncodeSample(ous[SubsystemNetworking], 2, Metrics{}, []uint64{1, 2}))
 	}
 	submitKernel(ts, SubsystemExecutionEngine, ous[SubsystemExecutionEngine], 30)
-	p.Poll()
-	if p.UserSubmitted() == 0 || p.UserDropped() == 0 || p.Processed() == 0 {
+	p.Drain(DrainOptions{})
+	if p.Stats().User.Submitted == 0 || p.Stats().User.Dropped == 0 || p.Stats().Processed == 0 {
 		t.Fatalf("setup did not exercise the pipeline: %+v", p.Stats())
 	}
 
+	delivered := recorded(p).Rows()
 	p.Reset()
-	if got := p.UserSubmitted(); got != 0 {
-		t.Fatalf("UserSubmitted after Reset = %d", got)
+	if got := p.Stats().User.Submitted; got != 0 {
+		t.Fatalf("User.Submitted after Reset = %d", got)
 	}
-	if got := p.UserDropped(); got != 0 {
-		t.Fatalf("UserDropped after Reset = %d", got)
+	if got := p.Stats().User.Dropped; got != 0 {
+		t.Fatalf("User.Dropped after Reset = %d", got)
 	}
-	if got := p.Processed(); got != 0 {
+	if got := p.Stats().Processed; got != 0 {
 		t.Fatalf("Processed after Reset = %d", got)
 	}
-	if got := len(p.Points()); got != 0 {
-		t.Fatalf("archive after Reset: %d points", got)
+	if got := recorded(p).Rows(); got != delivered {
+		t.Fatalf("Reset touched the sink: %d rows, had %d", got, delivered)
 	}
 	st := p.Stats()
 	if st.TotalSubmitted() != 0 || st.TotalDropped() != 0 || st.Polls != 0 {
@@ -113,7 +137,7 @@ func TestResetClearsPipelineState(t *testing.T) {
 	// the pre-reset cumulative counters (which would yield negative
 	// deltas and suppress the demand calculation).
 	submitKernel(ts, SubsystemExecutionEngine, ous[SubsystemExecutionEngine], 20)
-	p.PollBudget(100)
+	p.Drain(DrainOptions{Budget: 100})
 	st = p.Stats()
 	ee := st.Kernel[SubsystemExecutionEngine]
 	if ee.DeltaSubmitted != 20 || ee.DeltaDrained != 20 {
@@ -132,7 +156,7 @@ func TestGlobalBudgetSharedAcrossSubsystems(t *testing.T) {
 	}
 
 	const budget = 50
-	p.PollBudget(budget)
+	p.Drain(DrainOptions{Budget: budget})
 	st := p.Stats()
 	if st.GlobalBudget != budget {
 		t.Fatalf("global budget = %d, want %d (parallelism 1)", st.GlobalBudget, budget)
@@ -171,7 +195,7 @@ func TestShardedParallelismScalesBudget(t *testing.T) {
 		for _, sub := range AllSubsystems {
 			submitKernel(ts, sub, ous[sub], 100)
 		}
-		p.PollBudget(50)
+		p.Drain(DrainOptions{Budget: 50})
 		st := p.Stats()
 		var drained int64
 		for _, sub := range AllSubsystems {
@@ -213,7 +237,7 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 	// Demand (20 samples × 3 tokens = 60) fits the budget: everything
 	// drains, but the 90 tokens bought only 30 samples' worth of work.
 	const budget = 90
-	if n := p.PollBudget(budget); n != 20 {
+	if n := p.Drain(DrainOptions{Budget: budget}).Points; n != 20 {
 		t.Fatalf("underloaded poll drained %d user samples, want all 20", n)
 	}
 
@@ -225,7 +249,7 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		p.SubmitUserSample(EncodeSample(70, 3, Metrics{}, []uint64{1, 2}))
 	}
-	n := p.PollBudget(budget)
+	n := p.Drain(DrainOptions{Budget: budget}).Points
 	st := p.Stats()
 	if st.EffectiveBudget >= budget {
 		t.Fatalf("no degradation under overload: %+v", st)
@@ -249,12 +273,12 @@ type reentrantSink struct {
 func (s *reentrantSink) WriteBatch(pts []TrainingPoint) error {
 	for _, tp := range pts {
 		s.writes++
-		_ = s.p.Processed()
+		_ = s.p.Stats().Processed
 		_ = s.p.Stats()
 		s.p.SubmitUserSample(EncodeSample(tp.OU, tp.PID, Metrics{}, []uint64{1, 2}))
 		if !s.repolled {
 			s.repolled = true
-			s.p.Poll()
+			s.p.Drain(DrainOptions{})
 		}
 	}
 	return nil
@@ -280,13 +304,13 @@ func TestReentrantSinkDoesNotDeadlock(t *testing.T) {
 	p := ts.Processor()
 	sink.p = p
 	submitKernel(ts, SubsystemExecutionEngine, 71, 20)
-	p.Poll()
+	p.Drain(DrainOptions{})
 	if sink.writes == 0 {
 		t.Fatalf("sink never invoked")
 	}
 	// The samples the sink itself submitted drain on a later poll.
-	p.Poll()
-	if got := p.UserSubmitted(); got == 0 {
+	p.Drain(DrainOptions{})
+	if got := p.Stats().User.Submitted; got == 0 {
 		t.Fatalf("re-entrant submissions lost")
 	}
 }
@@ -311,9 +335,8 @@ func TestFeatureVectorPadAndTruncate(t *testing.T) {
 	col.Ring.Submit(EncodeSample(72, 1, Metrics{}, []uint64{7}))             // short
 	col.Ring.Submit(EncodeSample(72, 1, Metrics{}, []uint64{1, 2, 3, 4, 5})) // long
 	p := ts.Processor()
-	p.Poll()
-
-	pts := p.PointsFor(sub)
+	p.Drain(DrainOptions{})
+	pts := recorded(p).pointsFor(sub)
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}
@@ -372,7 +395,7 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 			default:
 			}
 			_ = p.Stats()
-			_ = p.Points()
+			_ = recorded(p).points()
 			if i%13 == 12 {
 				p.Reset()
 			}
@@ -386,7 +409,7 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 	}()
 	polls := 0
 	for done := false; !done; {
-		p.PollBudget(64)
+		p.Drain(DrainOptions{Budget: 64})
 		polls++
 		select {
 		case <-producersDone:
@@ -397,7 +420,7 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 	close(stop)
 	<-observerDone
 	// Final unlimited sweep: everything still buffered comes out.
-	p.Poll()
+	p.Drain(DrainOptions{})
 	if polls == 0 {
 		t.Fatalf("no polls ran")
 	}

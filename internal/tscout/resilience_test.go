@@ -12,15 +12,15 @@ import (
 // END (torn samples), pid reuse after a task dies mid-OU (stale pairing,
 // never-enabled counters), and unsigned counter wraparound (absurd deltas
 // archived as if real). Each test pins the resilient behavior: the bad
-// sample never reaches the archive, and the loss lands in exactly one
-// counted bucket.
+// sample never reaches the sink, and the loss lands in exactly one counted
+// bucket.
 
 // deployResilience is a 2-CPU kernel-mode deployment with one OU.
 func deployResilience(t *testing.T, mode Mode) (*TScout, *kernel.Kernel, *Marker) {
 	t.Helper()
 	k := kernel.New(sim.LargeHW, 5, 0)
 	k.SetNumCPUs(2)
-	ts := New(k, Config{Mode: mode, Seed: 13, DisableProcessorFeedback: true})
+	ts := New(k, Config{Mode: mode, Seed: 13, DisableProcessorFeedback: true, ProcessorSink: &recordSink{}})
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"num_rows", "row_bytes"},
@@ -61,7 +61,7 @@ func TestTornMigrationDiscard(t *testing.T) {
 	if got := ks.Orphans.TornMigration; got != 1 {
 		t.Fatalf("TornMigration = %d, want 1", got)
 	}
-	pts := p.PointsFor(SubsystemExecutionEngine)
+	pts := recorded(p).pointsFor(SubsystemExecutionEngine)
 	if len(pts) != 1 {
 		t.Fatalf("archived %d points, want only the clean control sample", len(pts))
 	}
@@ -108,7 +108,7 @@ func TestPIDReuseRespawnCounters(t *testing.T) {
 	runOU(ts, b, scan, sim.Work{Instructions: 2000}, 2, 2)
 
 	p.Drain(DrainOptions{})
-	pts := p.PointsFor(SubsystemExecutionEngine)
+	pts := recorded(p).pointsFor(SubsystemExecutionEngine)
 	if len(pts) != 2 {
 		t.Fatalf("archived %d points, want 2", len(pts))
 	}
@@ -149,7 +149,7 @@ func TestPIDReuseKillMidOUReap(t *testing.T) {
 	if ec := ts.CollectorFor(SubsystemExecutionEngine).ErrorCount(); ec != 0 {
 		t.Fatalf("pid reuse caused %d state-machine violations; gen keying should isolate the respawn", ec)
 	}
-	pts := p.PointsFor(SubsystemExecutionEngine)
+	pts := recorded(p).pointsFor(SubsystemExecutionEngine)
 	if len(pts) != 1 {
 		t.Fatalf("archived %d points, want exactly the respawned task's sample", len(pts))
 	}
@@ -194,7 +194,7 @@ func TestCounterWrapDiscard(t *testing.T) {
 	if ks.DecodeErrors != 0 {
 		t.Fatalf("wrapped sample miscounted as a decode error")
 	}
-	pts := p.PointsFor(SubsystemExecutionEngine)
+	pts := recorded(p).pointsFor(SubsystemExecutionEngine)
 	if len(pts) != 1 {
 		t.Fatalf("archived %d points, want only the clean control sample", len(pts))
 	}
@@ -229,7 +229,7 @@ func TestUserModeWrapClamps(t *testing.T) {
 	if st.User.WrapClamps == 0 {
 		t.Fatalf("backwards counter readings were clamped without being counted")
 	}
-	pts := p.Points()
+	pts := recorded(p).points()
 	if len(pts) != 2 {
 		t.Fatalf("archived %d points, want 2 (clamped sample is kept, at zero)", len(pts))
 	}
@@ -285,7 +285,7 @@ func TestMetricsSaneTable(t *testing.T) {
 // counted, SinkErrors stays at the first-failure count, and a sink that
 // never recovers drops the points after the bounded retry budget.
 func TestSinkRetryRedelivers(t *testing.T) {
-	sink := &flakySink{failures: 1}
+	sink := &recordSink{failures: 1}
 	ts, k, scan := deployWithSink(t, sink)
 	p := ts.Processor()
 	task := k.NewTask("worker")
@@ -318,16 +318,17 @@ func TestSinkRetryRedelivers(t *testing.T) {
 	if got := st.Kernel[SubsystemExecutionEngine].SinkErrors; got != firstErrors {
 		t.Fatalf("retries inflated SinkErrors: %d -> %d", firstErrors, got)
 	}
-	if sink.delivered == 0 {
+	if sink.Rows() == 0 {
 		t.Fatalf("sink never received the retried points")
 	}
+	checkDelivery(t, p)
 }
 
 // TestSinkRetryExhaustionDrops: a sink that keeps failing exhausts the
 // bounded retry budget and the points are dropped — counted — instead of
 // retrying forever.
 func TestSinkRetryExhaustionDrops(t *testing.T) {
-	sink := &flakySink{failures: 1 << 30} // never recovers
+	sink := &recordSink{failures: 1 << 30} // never recovers
 	ts, k, scan := deployWithSink(t, sink)
 	p := ts.Processor()
 	task := k.NewTask("worker")
@@ -347,6 +348,40 @@ func TestSinkRetryExhaustionDrops(t *testing.T) {
 	if got := int64(maxSinkRetries); st.SinkRetries != got {
 		t.Fatalf("SinkRetries = %d, want %d (one per backoff attempt)", st.SinkRetries, got)
 	}
+	checkDelivery(t, p)
+}
+
+// TestDeliveryIdentity: whatever the sink does — accept everything, fail
+// transiently, fail on every call, or fail permanently and say so — after
+// every drain each produced point is in the sink, dropped after failed
+// deliveries, or queued for redelivery. The sink is the only copy of a
+// point, so nothing else may account for it.
+func TestDeliveryIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sink Sink
+	}{
+		{"healthy", &recordSink{}},
+		{"flaky", &recordSink{failures: 3}},
+		{"dead", &recordSink{down: true}},
+		{"sticky", &stickySink{recordSink: recordSink{down: true}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, k, scan := deployWithSink(t, tc.sink)
+			p := ts.Processor()
+			task := k.NewTask("worker")
+			for i := 0; i < 30; i++ {
+				for j := 0; j <= i%4; j++ {
+					runOU(ts, task, scan, sim.Work{Instructions: 1000}, uint64(i), uint64(j))
+				}
+				p.Drain(DrainOptions{})
+				checkDelivery(t, p)
+			}
+			if p.Stats().Processed == 0 {
+				t.Fatalf("workload produced no points")
+			}
+		})
+	}
 }
 
 func deployWithSink(t *testing.T, sink Sink) (*TScout, *kernel.Kernel, *Marker) {
@@ -364,14 +399,13 @@ func deployWithSink(t *testing.T, sink Sink) (*TScout, *kernel.Kernel, *Marker) 
 	return ts, k, scan
 }
 
-// flakySink fails its first `failures` WriteBatch calls, then succeeds.
 // TestStickySinkFailsFast is the regression test for the sticky-retry
 // burn: a sink that reports its write errors as permanent (StickySink,
 // like archive.Writer) must not have batches redelivered through the
 // 2+4+8-poll backoff ladder. After the one failing delivery, queued and
 // future points fail fast into SinkRetryDrops, SinkRetries stays at zero,
-// the sink sees no further WriteBatch calls, and the in-memory archive
-// still holds every point (the loss identities never involve the sink).
+// the sink sees no further WriteBatch calls, and every point the sink
+// never received is counted as dropped (the delivery identity).
 func TestStickySinkFailsFast(t *testing.T) {
 	sink := &stickySink{}
 	ts, k, scan := deployWithSink(t, sink)
@@ -382,11 +416,11 @@ func TestStickySinkFailsFast(t *testing.T) {
 	// failure, not at deployment.
 	runOU(ts, task, scan, sim.Work{Instructions: 1000}, 1, 1)
 	p.Drain(DrainOptions{})
-	if sink.delivered == 0 {
+	if sink.Rows() == 0 {
 		t.Fatalf("healthy sink received nothing")
 	}
 
-	sink.fail()
+	sink.setDown(true)
 	runOU(ts, task, scan, sim.Work{Instructions: 1000}, 2, 2)
 	p.Drain(DrainOptions{}) // one real attempt fails; fast-fail kicks in
 	callsAtFailure := sink.calls
@@ -411,59 +445,28 @@ func TestStickySinkFailsFast(t *testing.T) {
 	// The accounting identity: every archived point either reached the
 	// sink or is counted as an error, and drops never exceed errors.
 	ks := st.Kernel[SubsystemExecutionEngine]
-	if ks.Points != int64(sink.delivered)+ks.SinkErrors {
-		t.Fatalf("points %d != delivered %d + sink errors %d", ks.Points, sink.delivered, ks.SinkErrors)
+	if ks.Points != sink.Rows()+ks.SinkErrors {
+		t.Fatalf("points %d != delivered %d + sink errors %d", ks.Points, sink.Rows(), ks.SinkErrors)
 	}
 	if st.SinkRetryDrops != ks.SinkErrors {
 		t.Fatalf("SinkRetryDrops %d != SinkErrors %d: a point was dropped without being charged, or charged twice",
 			st.SinkRetryDrops, ks.SinkErrors)
 	}
-	// The in-memory archive is unaffected by sink loss.
-	if got := int64(len(p.PointsFor(SubsystemExecutionEngine))); got != ks.Points {
-		t.Fatalf("archive holds %d points, stats say %d", got, ks.Points)
-	}
+	checkDelivery(t, p)
 }
 
-// stickySink mimics archive.Writer's failure model: after fail() every
-// write reports the same permanent error, and StickyErr exposes it.
-type stickySink struct {
-	err       error
-	calls     int
-	delivered int
-}
+// stickySink mimics archive.Writer's failure model: once down, every write
+// reports the same permanent error, and StickyErr exposes it.
+type stickySink struct{ recordSink }
 
-func (s *stickySink) fail() { s.err = errSinkDown }
-
-func (s *stickySink) WriteBatch(pts []TrainingPoint) error {
-	if s.err != nil {
-		s.calls++
-		return s.err
-	}
-	s.delivered += len(pts)
-	return nil
-}
-
-func (s *stickySink) Flush() error     { return s.err }
-func (s *stickySink) Rows() int64      { return int64(s.delivered) }
-func (s *stickySink) StickyErr() error { return s.err }
-
-type flakySink struct {
-	failures  int
-	calls     int
-	delivered int
-}
-
-func (s *flakySink) WriteBatch(pts []TrainingPoint) error {
-	s.calls++
-	if s.calls <= s.failures {
+func (s *stickySink) StickyErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.down {
 		return errSinkDown
 	}
-	s.delivered += len(pts)
 	return nil
 }
-
-func (s *flakySink) Flush() error { return nil }
-func (s *flakySink) Rows() int64  { return int64(s.delivered) }
 
 var errSinkDown = errTest("sink down")
 

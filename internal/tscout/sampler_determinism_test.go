@@ -23,6 +23,7 @@ func retuneRun(t *testing.T, seed int64, par int) ([][SamplingBits]bool, []Train
 		Seed:                     seed,
 		RingCapacity:             256,
 		ProcessorParallelism:     par,
+		ProcessorSink:            &recordSink{},
 		DisableProcessorFeedback: true,
 	})
 	scan := ts.MustRegisterOU(OUDef{
@@ -69,7 +70,7 @@ func retuneRun(t *testing.T, seed int64, par int) ([][SamplingBits]bool, []Train
 	for i := 0; i < 2; i++ {
 		p.Drain(DrainOptions{})
 	}
-	return fields, p.PointsFor(SubsystemExecutionEngine)
+	return fields, recorded(p).pointsFor(SubsystemExecutionEngine)
 }
 
 // TestLiveRetuneBitEquality is the regression test for the shared-stream

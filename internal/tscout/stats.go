@@ -37,7 +37,7 @@ type SubsystemStats struct {
 	// TruncatedFeatures counts samples that arrived with more feature
 	// words than the OU declares.
 	TruncatedFeatures int64
-	// Points counts training points archived for this subsystem (fused
+	// Points counts training points produced for this subsystem (fused
 	// samples expand to several points).
 	Points int64
 	// RuntimeFaults counts marker-context program executions that returned
@@ -75,10 +75,6 @@ type ProcessorStats struct {
 	EffectiveBudget int
 	// FeedbackActions counts §3.2 sampling-rate reductions taken.
 	FeedbackActions int64
-	// FlushQueueDrops counts training points that could not be handed to
-	// the sink because the bounded flush queue was full (the archive
-	// still keeps them).
-	FlushQueueDrops int64
 	// PendingFlush is the current flush-queue depth.
 	PendingFlush int
 	// SinkRetries counts redelivery attempts of batches the sink rejected
@@ -86,8 +82,10 @@ type ProcessorStats struct {
 	// already charged to SinkErrors on the first failure).
 	SinkRetries int64
 	// SinkRetryDrops counts training points abandoned after exhausting the
-	// bounded retry budget or overflowing the retry queue — the sink-side
-	// graceful-degradation drop policy (the archive still keeps them).
+	// bounded retry budget or overflowing the retry queue, or failed fast
+	// against a sticky sink — the sink-side graceful-degradation drop
+	// policy. Once Drain returns, every produced point is accounted for:
+	// Processed == sink rows + SinkRetryDrops + PendingRetry.
 	SinkRetryDrops int64
 	// PendingRetry is the number of training points currently queued for
 	// sink redelivery.

@@ -128,8 +128,9 @@ type Config struct {
 	RingCapacity int
 	// Seed feeds the sampling-bit shuffle.
 	Seed int64
-	// ProcessorSink receives finished training points; nil uses an
-	// in-memory archive only.
+	// ProcessorSink receives finished training points and is the only
+	// place they are kept; with nil, points are counted in Processor
+	// stats and discarded.
 	ProcessorSink Sink
 	// DisableProcessorFeedback turns off the automatic sampling-rate
 	// reduction when the Processor falls behind (paper §3.2).

@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"testing"
 
+	"tscout/internal/archive"
 	"tscout/internal/kernel"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
@@ -19,8 +21,14 @@ func testRecords(txn uint64, n int) []Record {
 
 func newWAL(t *testing.T, cfg Config) (*Serializer, *tscout.TScout) {
 	t.Helper()
+	return newWALSink(t, cfg, nil)
+}
+
+// newWALSink is newWAL with the training points going to sink.
+func newWALSink(t *testing.T, cfg Config, sink tscout.Sink) (*Serializer, *tscout.TScout) {
+	t.Helper()
 	k := kernel.New(sim.LargeHW, 1, 0)
-	ts := tscout.New(k, tscout.Config{Seed: 2})
+	ts := tscout.New(k, tscout.Config{Seed: 2, ProcessorSink: sink})
 	serM := ts.MustRegisterOU(tscout.OUDef{
 		ID: 50, Name: "log_serializer", Subsystem: tscout.SubsystemLogSerializer,
 		Features: []string{"num_records", "bytes", "num_txns"},
@@ -118,11 +126,23 @@ func TestGroupCommitAmortizes(t *testing.T) {
 }
 
 func TestWALEmitsTrainingData(t *testing.T) {
-	s, ts := newWAL(t, Config{GroupSize: 2, FlushIntervalNS: 1 << 40})
+	var buf bytes.Buffer
+	aw := archive.NewWriter(&buf)
+	s, ts := newWALSink(t, Config{GroupSize: 2, FlushIntervalNS: 1 << 40}, aw)
 	s.Submit(testRecords(1, 3), 0)
 	s.Submit(testRecords(2, 3), 10)
-	ts.Processor().Poll()
-	pts := ts.Processor().Points()
+	ts.Processor().Drain(tscout.DrainOptions{})
+	if err := aw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := archive.NewReader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := r.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("expected serializer + writer points, got %d", len(pts))
 	}

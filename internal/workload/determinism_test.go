@@ -24,7 +24,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, srv.TS.Processor().Points()
+		return res, archivedPoints(t, srv)
 	}
 	r1, p1 := run()
 	r2, p2 := run()

@@ -10,11 +10,12 @@ import (
 )
 
 // TestSegmentSinkGoldenFingerprint re-runs the canonical single-CPU golden
-// workload with the columnar segment writer attached as the Processor sink,
-// then fingerprints the points read back FROM THE SEGMENTS. The hash must
-// equal the recorded golden value: the archive path neither perturbs the
-// run (sink delivery happens outside the simulated clock) nor loses or
-// reorders a single point through encode → seal → decode.
+// workload with a caller-supplied columnar segment writer as the Processor
+// sink (in place of the server's default in-memory archive), then
+// fingerprints the points read back FROM THOSE SEGMENTS. The hash must
+// equal the recorded golden value: an external archive sink neither
+// perturbs the run nor loses or reorders a single point through
+// encode → seal → decode.
 func TestSegmentSinkGoldenFingerprint(t *testing.T) {
 	var buf bytes.Buffer
 	aw := archive.NewWriter(&buf)

@@ -28,8 +28,8 @@ const (
 	goldenSingleCPUPoints    = 11080
 )
 
-// goldenFingerprint hashes the pre-PR-observable outputs of a run: the
-// scalar results plus every archived training point in archive order.
+// goldenFingerprint hashes the pre-refactor observable outputs of a run:
+// the scalar results plus every archived training point in archive order.
 func goldenFingerprint(res Result, pts []tscout.TrainingPoint) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "completed=%d aborted=%d elapsed=%d tps=%.9g p50=%d p99=%d mean=%d points=%d sps=%.9g\n",
@@ -44,7 +44,8 @@ func goldenFingerprint(res Result, pts []tscout.TrainingPoint) uint64 {
 // goldenRun executes the canonical fingerprint workload: instrumented
 // TPC-C at 4 terminals with 3% measurement noise on the default
 // single-CPU topology — the configuration class every recorded
-// experiment used.
+// experiment used. The points are read back from the server's columnar
+// archive.
 func goldenRun(t *testing.T) (Result, []tscout.TrainingPoint) {
 	t.Helper()
 	srv, err := dbms.NewServer(dbms.Config{
@@ -63,11 +64,30 @@ func goldenRun(t *testing.T) (Result, []tscout.TrainingPoint) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return res, srv.TS.Processor().Points()
+	return res, archivedPoints(t, srv)
+}
+
+// archivedPoints reads every training point back from the server's
+// archive, in archive order.
+func archivedPoints(t *testing.T, srv *dbms.Server) []tscout.TrainingPoint {
+	t.Helper()
+	r, err := srv.Archive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := r.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
 }
 
 // TestSingleCPUGoldenFingerprint locks the NumCPUs=1 schedule to the
-// pre-refactor single-clock scheduler, bit for bit.
+// pre-refactor single-clock scheduler, bit for bit. The points come back
+// through the columnar archive, so the hash also proves the archive path
+// neither perturbs the run (sink delivery happens outside the simulated
+// clock) nor loses or reorders a single point through encode, seal and
+// decode.
 func TestSingleCPUGoldenFingerprint(t *testing.T) {
 	res, pts := goldenRun(t)
 	if res.Completed != goldenSingleCPUCompleted {
@@ -76,8 +96,8 @@ func TestSingleCPUGoldenFingerprint(t *testing.T) {
 	if res.ElapsedNS != goldenSingleCPUElapsedNS {
 		t.Fatalf("elapsed = %d, want %d", res.ElapsedNS, goldenSingleCPUElapsedNS)
 	}
-	if res.TrainingPoints != goldenSingleCPUPoints {
-		t.Fatalf("points = %d, want %d", res.TrainingPoints, goldenSingleCPUPoints)
+	if res.TrainingPoints != goldenSingleCPUPoints || len(pts) != goldenSingleCPUPoints {
+		t.Fatalf("points = %d, archive holds %d, want %d", res.TrainingPoints, len(pts), goldenSingleCPUPoints)
 	}
 	if got := goldenFingerprint(res, pts); got != goldenSingleCPUHash {
 		t.Fatalf("golden fingerprint = %#x, want %#x", got, goldenSingleCPUHash)

@@ -43,7 +43,7 @@ func scaleRun(t *testing.T, numCPUs, par, terminals, txns, pool int) (uint64, []
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return goldenFingerprint(res, srv.TS.Processor().Points()), srv.Kernel.NoiseDraws(), res
+	return goldenFingerprint(res, archivedPoints(t, srv)), srv.Kernel.NoiseDraws(), res
 }
 
 // TestEpochEngineDeterminism runs every (NumCPUs, drain parallelism) point
@@ -95,7 +95,7 @@ func TestEpochEngineSeedsDiffer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		return goldenFingerprint(res, srv.TS.Processor().Points())
+		return goldenFingerprint(res, archivedPoints(t, srv))
 	}
 	if srvFor(1) == srvFor(2) {
 		t.Fatalf("different seeds produced identical fingerprints")

@@ -107,7 +107,7 @@ func TestInstrumentedRunGeneratesTrainingData(t *testing.T) {
 		t.Fatalf("no training data: %+v", res)
 	}
 	bySub := map[tscout.SubsystemID]int{}
-	for _, p := range srv.TS.Processor().Points() {
+	for _, p := range archivedPoints(t, srv) {
 		bySub[p.Subsystem]++
 	}
 	for _, sub := range tscout.AllSubsystems {

@@ -35,9 +35,12 @@ go test ./internal/workload -run '^(TestScaleSmoke|TestEpochEngineDeterminism|Te
 # Archive smoke: the columnar training archive's acceptance surface —
 # bit-exact round-trip, CSV-export equivalence, SQL-over-mount cross-check,
 # chaos identities with the segment sink, the golden fingerprint through
-# segments, the 2x density floor, and the model-path equivalence.
+# segments, the 2x density floor, every point of a large drain reaching
+# the sink, the delivery identity under healthy and failing sinks, and the
+# model-path equivalence.
 go test ./internal/archive -run '^(TestRoundTripBitExact|TestExportCSVMatchesDirectSink|TestSQLOverArchive|TestChaosIdentitiesWithSegmentSink|TestColumnarDensityVsCSV)$' -count=1
 go test ./internal/workload -run '^TestSegmentSinkGoldenFingerprint$' -count=1
+go test ./internal/tscout -run '^(TestLargeDrainDeliversEveryPoint|TestDeliveryIdentity)$' -count=1
 go test ./internal/model -run '^TestFromArchiveMatchesFromTrainingPoints$' -count=1
 go test ./cmd/tsctl -run '^TestArchiveCmd' -count=1
 
