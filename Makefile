@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint analyze-smoke test race bench bench-smoke jit-smoke chaos-smoke scale-smoke archive-smoke autopilot-smoke figures fuzz-smoke cover
+.PHONY: check build vet lint analyze-smoke test race bench bench-smoke jit-smoke chaos-smoke scale-smoke archive-smoke autopilot-smoke dbms-smoke figures fuzz-smoke cover
 
-check: build lint analyze-smoke race bench-smoke jit-smoke chaos-smoke scale-smoke archive-smoke autopilot-smoke
+check: build lint analyze-smoke race bench-smoke jit-smoke chaos-smoke scale-smoke archive-smoke autopilot-smoke dbms-smoke
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,17 @@ autopilot-smoke:
 	$(GO) test ./internal/experiment -run '^TestFrontierShape$$' -count=1
 	$(GO) test ./internal/tscout -run '^(TestLiveRetuneBitEquality|TestRetuneIsolationAcrossSubsystems|TestStickySinkFailsFast)$$' -count=1
 	$(GO) test ./internal/workload -run '^TestSingleCPUGoldenFingerprint$$' -count=1
+
+# DBMS smoke: the statement path's contract — every cached statement still
+# equals a fresh parse after all five workloads ran on one server, the
+# cache stops at its cap, concurrent parses, a parse error is answered with
+# an error response, the per-statement allocation gate — plus ParseScript's
+# split on tokens, and both golden fingerprints, which prove the cache and
+# the shared column bindings moved no virtual nanosecond.
+dbms-smoke:
+	$(GO) test ./internal/dbms -run '^(TestStatementCacheASTImmutable|TestStatementCacheBounded|TestStatementCacheConcurrentParse|TestStatementParseErrorResponds|TestStatementAllocsHalved)$$' -count=1
+	$(GO) test ./internal/sql -run '^TestParseScript$$' -count=1
+	$(GO) test ./internal/workload -run '^(TestSingleCPUGoldenFingerprint|TestSegmentSinkGoldenFingerprint)$$' -count=1
 
 # Regenerate every figure at quick scale.
 figures:

@@ -22,6 +22,7 @@ import (
 	"tscout/internal/model"
 	"tscout/internal/sim"
 	"tscout/internal/sql"
+	"tscout/internal/storage"
 	"tscout/internal/tscout"
 	"tscout/internal/wal"
 	"tscout/internal/workload"
@@ -587,6 +588,27 @@ func BenchmarkSQLParseTPCCStatement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sql.Parse(q); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionStatementTPCC measures one TPC-C new-order stock read
+// through the whole uninstrumented statement path (networking OUs, parse,
+// plan, index probe, projection, output) inside an open transaction.
+func BenchmarkSessionStatementTPCC(b *testing.B) {
+	srv, _ := newTPCCServer(b, false)
+	se := srv.NewSession()
+	if err := se.BeginTxn(); err != nil {
+		b.Fatal(err)
+	}
+	const q = "SELECT s_quantity FROM stock WHERE s_w_id = $1 AND s_i_id = $2"
+	w := storage.NewInt(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := se.Statement(q, w, storage.NewInt(int64(1+i%100)))
+		if err != nil || len(res.Rows) != 1 {
+			b.Fatalf("stock read: %v", err)
 		}
 	}
 }

@@ -81,7 +81,40 @@ type Server struct {
 	netRead  *tscout.Marker
 	netWrite *tscout.Marker
 
+	stmtMu    sync.Mutex
+	stmtCache map[string]sql.Statement // guarded by stmtMu
+
 	nextSession int
+}
+
+// stmtCacheCap bounds the statement cache. The workloads send a few dozen
+// distinct $n-parameterised texts, so every one of them fits; a text built
+// with literal values (TATP's sub_nbr lookups) misses once the cache is
+// full and is parsed on every call instead of growing the map.
+const stmtCacheCap = 1024
+
+// parse returns the parsed form of one SQL text, parsing it only the first
+// time the server sees it. Callers share the cached statement, which is
+// why sql.Statement values are immutable once parsed. Parse errors are not
+// cached. The cache saves wall time only: no virtual work is charged for
+// parsing, so a hit and a miss cost the same virtual time.
+func (s *Server) parse(text string) (sql.Statement, error) {
+	s.stmtMu.Lock()
+	st, ok := s.stmtCache[text]
+	s.stmtMu.Unlock()
+	if ok {
+		return st, nil
+	}
+	st, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	s.stmtMu.Lock()
+	if len(s.stmtCache) < stmtCacheCap {
+		s.stmtCache[text] = st
+	}
+	s.stmtMu.Unlock()
+	return st, nil
 }
 
 // NewServer builds and (if configured) instruments a server.
@@ -95,9 +128,10 @@ func NewServer(cfg Config) (*Server, error) {
 		k.SetNumCPUs(cfg.NumCPUs)
 	}
 	srv := &Server{
-		Kernel:  k,
-		Catalog: catalog.New(),
-		TxnMgr:  txn.NewManager(),
+		Kernel:    k,
+		Catalog:   catalog.New(),
+		TxnMgr:    txn.NewManager(),
+		stmtCache: make(map[string]sql.Statement),
 	}
 
 	var ts *tscout.TScout
@@ -286,7 +320,7 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 				derr = fmt.Errorf("dbms: unexpected message type %q", m.Type)
 				break
 			}
-			st, perr := sql.Parse(string(m.Payload))
+			st, perr := srv.parse(string(m.Payload))
 			if perr != nil {
 				derr = perr
 				break
@@ -419,7 +453,7 @@ func encodeResult(r *exec.Result) network.Message {
 // offline loader: it parses and runs one statement with $n parameters in
 // its own transaction on the given session, bypassing the wire protocol.
 func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result, error) {
-	st, err := sql.Parse(query)
+	st, err := se.srv.parse(query)
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,7 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	if srv.netRead != nil {
 		srv.netRead.Begin(task)
 	}
-	st, perr := sql.Parse(query)
+	st, perr := srv.parse(query)
 	task.Charge(sim.Work{
 		Instructions:    350 + 2.4*float64(packetBytes) + 420,
 		BytesTouched:    2 * float64(packetBytes),
@@ -74,6 +74,7 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	}
 	if perr != nil {
 		se.rollback()
+		se.respond(network.Message{Type: network.MsgError, Payload: []byte(perr.Error())})
 		return nil, perr
 	}
 

@@ -100,7 +100,7 @@ func (e *Engine) executeUpdate(ctx *Ctx, s *sql.UpdateStmt, params []storage.Val
 		return nil, fmt.Errorf("exec: table %q is a read-only virtual table", s.Table)
 	}
 	schema := tbl.Heap.Schema()
-	rel := newRelation(s.Table, schema)
+	rel := e.newRelation(s.Table, schema)
 	preds, deferred, err := compilePreds(s.Where, rel, params)
 	if err != nil {
 		return nil, err
@@ -117,15 +117,16 @@ func (e *Engine) executeUpdate(ctx *Ctx, s *sql.UpdateStmt, params []storage.Val
 		setCols[i] = p
 	}
 
-	matches := e.runScan(ctx, planAccess(tbl, preds))
+	matches := e.runScan(ctx, planAccess(tbl, preds), true)
 
 	m := e.ouBegin(ctx, OUUpdate)
 	var bytes int64
 	indexWork := 0
-	for _, mt := range matches {
-		newRow := mt.row.Clone()
+	for mi, row := range matches.rows {
+		tid := matches.tids[mi]
+		newRow := row.Clone()
 		for i, set := range s.Sets {
-			v, err := evalExpr(set.Val, mt.row, rel, params)
+			v, err := evalExpr(set.Val, row, rel, params)
 			if err != nil {
 				ouEnd(ctx, m)
 				ouFeatures(ctx, m, 0, 0, 0, 0)
@@ -133,7 +134,7 @@ func (e *Engine) executeUpdate(ctx *Ctx, s *sql.UpdateStmt, params []storage.Val
 			}
 			newRow[setCols[i]] = coerce(v, schema.Column(setCols[i]).Kind)
 		}
-		if err := ctx.Txn.Update(tbl.Heap, mt.tid, newRow); err != nil {
+		if err := ctx.Txn.Update(tbl.Heap, tid, newRow); err != nil {
 			ouEnd(ctx, m)
 			ouFeatures(ctx, m, 0, 0, 0, 0)
 			return nil, err
@@ -142,15 +143,15 @@ func (e *Engine) executeUpdate(ctx *Ctx, s *sql.UpdateStmt, params []storage.Val
 		// entry stays for older snapshots (lazy cleanup under MVCC);
 		// scans re-check predicates so it cannot produce wrong matches.
 		for _, ix := range tbl.Indexes {
-			oldKey, newKey := ix.KeyFor(mt.row), ix.KeyFor(newRow)
+			oldKey, newKey := ix.KeyFor(row), ix.KeyFor(newRow)
 			if oldKey != newKey {
-				ix.Insert(newKey, mt.tid)
+				ix.Insert(newKey, tid)
 				indexWork += ix.Height()
 			}
 		}
 		bytes += newRow.Size()
 	}
-	n := len(matches)
+	n := len(matches.rows)
 	work := sim.Work{
 		Instructions:         150 + 130*float64(n) + 0.9*float64(bytes) + 70*float64(indexWork),
 		BytesTouched:         2*float64(bytes) + 64*float64(indexWork),
@@ -172,7 +173,7 @@ func (e *Engine) executeDelete(ctx *Ctx, s *sql.DeleteStmt, params []storage.Val
 	if tbl.Virtual != nil {
 		return nil, fmt.Errorf("exec: table %q is a read-only virtual table", s.Table)
 	}
-	rel := newRelation(s.Table, tbl.Schema())
+	rel := e.newRelation(s.Table, tbl.Schema())
 	preds, deferred, err := compilePreds(s.Where, rel, params)
 	if err != nil {
 		return nil, err
@@ -180,12 +181,12 @@ func (e *Engine) executeDelete(ctx *Ctx, s *sql.DeleteStmt, params []storage.Val
 	if len(deferred) > 0 {
 		return nil, fmt.Errorf("exec: cannot resolve predicate on %s", deferred[0].Col)
 	}
-	matches := e.runScan(ctx, planAccess(tbl, preds))
+	matches := e.runScan(ctx, planAccess(tbl, preds), true)
 
 	m := e.ouBegin(ctx, OUDelete)
 	indexWork := 0
-	for _, mt := range matches {
-		if err := ctx.Txn.Delete(tbl.Heap, mt.tid); err != nil {
+	for _, tid := range matches.tids {
+		if err := ctx.Txn.Delete(tbl.Heap, tid); err != nil {
 			ouEnd(ctx, m)
 			ouFeatures(ctx, m, 0, 0, 0)
 			return nil, err
@@ -194,7 +195,7 @@ func (e *Engine) executeDelete(ctx *Ctx, s *sql.DeleteStmt, params []storage.Val
 		// older snapshots still reach the pre-delete version through them.
 		indexWork += len(tbl.Indexes)
 	}
-	n := len(matches)
+	n := len(matches.tids)
 	work := sim.Work{
 		Instructions:         130 + 90*float64(n) + 70*float64(indexWork),
 		BytesTouched:         float64(n)*48 + 64*float64(indexWork),

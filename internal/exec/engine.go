@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"tscout/internal/catalog"
 	"tscout/internal/kernel"
@@ -41,12 +42,19 @@ type Engine struct {
 	// single measurement with vectorized features (paper §5.2), as a
 	// JIT-compiling engine would.
 	FuseSimpleSelects bool
+
+	bindMu   sync.Mutex
+	bindings map[bindKey]*binding // guarded by bindMu
 }
 
 // New creates an engine. ts may be nil for an uninstrumented DBMS;
 // otherwise the engine registers its OUs (call before ts.Deploy).
 func New(cat *catalog.Catalog, ts *tscout.TScout) (*Engine, error) {
-	e := &Engine{cat: cat, ts: ts, markers: make(map[tscout.OUID]*tscout.Marker)}
+	e := &Engine{
+		cat: cat, ts: ts,
+		markers:  make(map[tscout.OUID]*tscout.Marker),
+		bindings: make(map[bindKey]*binding),
+	}
 	if ts == nil {
 		return e, nil
 	}

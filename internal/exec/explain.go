@@ -59,7 +59,7 @@ func (e *Engine) explainPlan(ctx *Ctx, stmt sql.Statement, params []storage.Valu
 		if err != nil {
 			return nil, err
 		}
-		rel := newRelation(s.From.Binding(), tbl.Schema())
+		rel := e.newRelation(s.From.Binding(), tbl.Schema())
 		preds, deferred, err := compilePreds(s.Where, rel, params)
 		if err != nil {
 			return nil, err
@@ -71,7 +71,7 @@ func (e *Engine) explainPlan(ctx *Ctx, stmt sql.Statement, params []storage.Valu
 			if err != nil {
 				return nil, err
 			}
-			rrel := newRelation(j.Table.Binding(), rtbl.Schema())
+			rrel := e.newRelation(j.Table.Binding(), rtbl.Schema())
 			rpreds, still, err := compilePreds(deferred, rrel, params)
 			if err != nil {
 				return nil, err
@@ -98,7 +98,7 @@ func (e *Engine) explainPlan(ctx *Ctx, stmt sql.Statement, params []storage.Valu
 		if err != nil {
 			return nil, err
 		}
-		rel := newRelation(s.Table, tbl.Schema())
+		rel := e.newRelation(s.Table, tbl.Schema())
 		preds, _, err := compilePreds(s.Where, rel, params)
 		if err != nil {
 			return nil, err
@@ -112,7 +112,7 @@ func (e *Engine) explainPlan(ctx *Ctx, stmt sql.Statement, params []storage.Valu
 		if err != nil {
 			return nil, err
 		}
-		rel := newRelation(s.Table, tbl.Schema())
+		rel := e.newRelation(s.Table, tbl.Schema())
 		preds, _, err := compilePreds(s.Where, rel, params)
 		if err != nil {
 			return nil, err

@@ -7,49 +7,77 @@ import (
 	"tscout/internal/storage"
 )
 
-// relation is a materialized intermediate result: rows plus column
+// relation is a materialized intermediate result: rows plus the column
 // binding metadata for name resolution across joins.
 type relation struct {
-	cols  []string // qualified "binding.col"
-	bare  map[string]int
-	qual  map[string]int
+	*binding
 	rows  []storage.Row
 	width int64 // estimated bytes per row
 }
 
-const ambiguous = -2
-
-func newRelation(binding string, schema *storage.Schema) *relation {
-	r := &relation{
-		bare:  make(map[string]int),
-		qual:  make(map[string]int),
-		width: schema.RowWidth(),
-	}
-	for i, c := range schema.Columns() {
-		r.addCol(binding, c.Name, i)
-	}
-	return r
+// binding is the column metadata of a relation: qualified "binding.col"
+// names and the maps that resolve a column reference to a row position.
+// It is immutable once built, so one binding serves every statement that
+// reads the same table under the same name.
+type binding struct {
+	cols []string // qualified "binding.col"
+	bare map[string]int
+	qual map[string]int
 }
 
-func (r *relation) addCol(binding, name string, idx int) {
-	r.cols = append(r.cols, binding+"."+name)
-	r.qual[binding+"."+name] = idx
-	if _, dup := r.bare[name]; dup {
-		r.bare[name] = ambiguous
+const ambiguous = -2
+
+// bindKey identifies a table's binding: the name queries qualify its
+// columns with, and the schema those columns come from.
+type bindKey struct {
+	name   string
+	schema *storage.Schema
+}
+
+// newRelation returns an empty relation over schema under the given name,
+// sharing the engine's binding for that pair (built on first use).
+func (e *Engine) newRelation(name string, schema *storage.Schema) *relation {
+	k := bindKey{name, schema}
+	e.bindMu.Lock()
+	b, ok := e.bindings[k]
+	if !ok {
+		b = newBinding(len(schema.Columns()))
+		for i, c := range schema.Columns() {
+			b.add(name+"."+c.Name, c.Name, i)
+		}
+		e.bindings[k] = b
+	}
+	e.bindMu.Unlock()
+	return &relation{binding: b, width: schema.RowWidth()}
+}
+
+func newBinding(n int) *binding {
+	return &binding{
+		cols: make([]string, 0, n),
+		bare: make(map[string]int, n),
+		qual: make(map[string]int, n),
+	}
+}
+
+func (b *binding) add(qualified, bare string, idx int) {
+	b.cols = append(b.cols, qualified)
+	b.qual[qualified] = idx
+	if _, dup := b.bare[bare]; dup {
+		b.bare[bare] = ambiguous
 	} else {
-		r.bare[name] = idx
+		b.bare[bare] = idx
 	}
 }
 
 // resolve maps a column reference to a row position.
-func (r *relation) resolve(c sql.ColRef) (int, error) {
+func (b *binding) resolve(c sql.ColRef) (int, error) {
 	if c.Table != "" {
-		if i, ok := r.qual[c.Table+"."+c.Name]; ok {
+		if i, ok := b.qual[c.Table+"."+c.Name]; ok {
 			return i, nil
 		}
 		return 0, fmt.Errorf("exec: unknown column %s", c)
 	}
-	i, ok := r.bare[c.Name]
+	i, ok := b.bare[c.Name]
 	if !ok {
 		return 0, fmt.Errorf("exec: unknown column %s", c.Name)
 	}
@@ -59,36 +87,18 @@ func (r *relation) resolve(c sql.ColRef) (int, error) {
 	return i, nil
 }
 
-// concat builds the joined relation metadata of a and b (rows appended by
-// the join operator itself).
+// concatRelations builds the joined relation metadata of a and b (rows
+// appended by the join operator itself).
 func concatRelations(a, b *relation) *relation {
-	out := &relation{
-		bare:  make(map[string]int),
-		qual:  make(map[string]int),
-		width: a.width + b.width,
-	}
+	out := newBinding(len(a.cols) + len(b.cols))
 	for i, qc := range a.cols {
-		out.cols = append(out.cols, qc)
-		out.qual[qc] = i
-		bare := bareName(qc)
-		if _, dup := out.bare[bare]; dup {
-			out.bare[bare] = ambiguous
-		} else {
-			out.bare[bare] = i
-		}
+		out.add(qc, bareName(qc), i)
 	}
 	off := len(a.cols)
 	for i, qc := range b.cols {
-		out.cols = append(out.cols, qc)
-		out.qual[qc] = off + i
-		bare := bareName(qc)
-		if _, dup := out.bare[bare]; dup {
-			out.bare[bare] = ambiguous
-		} else {
-			out.bare[bare] = off + i
-		}
+		out.add(qc, bareName(qc), off+i)
 	}
-	return out
+	return &relation{binding: out, width: a.width + b.width}
 }
 
 func bareName(qualified string) string {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sort"
-
 	"tscout/internal/catalog"
 	"tscout/internal/sim"
 	"tscout/internal/sql"
@@ -28,25 +26,16 @@ type accessPath struct {
 // planAccess picks the cheapest access path for preds on tbl: a full-key
 // index probe, then a leading-prefix B+Tree range, then a sequential scan.
 func planAccess(tbl *catalog.Table, preds []compiledPred) accessPath {
-	eq := make(map[int]storage.Value)
-	for _, p := range preds {
-		if p.op == sql.OpEq {
-			if _, dup := eq[p.col]; !dup {
-				eq[p.col] = p.val
-			}
-		}
-	}
 	var best accessPath
 	best.table = tbl
 	bestScore := 0 // 0 = seqscan, 1 = prefix, 2 = full, 3 = full unique
 	for _, ix := range tbl.Indexes {
 		covered := 0
 		for _, kc := range ix.KeyCols {
-			if _, ok := eq[kc]; ok {
-				covered++
-			} else {
+			if _, ok := eqValue(preds, kc); !ok {
 				break
 			}
+			covered++
 		}
 		if covered == 0 {
 			continue
@@ -67,7 +56,7 @@ func planAccess(tbl *catalog.Table, preds []compiledPred) accessPath {
 		}
 		vals := make([]storage.Value, covered)
 		for i := 0; i < covered; i++ {
-			vals[i] = eq[ix.KeyCols[i]]
+			vals[i], _ = eqValue(preds, ix.KeyCols[i])
 		}
 		ap := accessPath{table: tbl, index: ix}
 		if full {
@@ -91,20 +80,38 @@ func planAccess(tbl *catalog.Table, preds []compiledPred) accessPath {
 	return best
 }
 
-// match is one visible row produced by a scan, with its address for DML.
-type match struct {
-	tid storage.TupleID
-	row storage.Row
+// eqValue returns the value of the first equality predicate on col.
+func eqValue(preds []compiledPred, col int) (storage.Value, bool) {
+	for _, p := range preds {
+		if p.col == col && p.op == sql.OpEq {
+			return p.val, true
+		}
+	}
+	return storage.Value{}, false
+}
+
+// matches is what a scan produced: the visible rows and, when the caller
+// asked for them (DML), their tuple addresses in step with the rows.
+type matches struct {
+	rows []storage.Row
+	tids []storage.TupleID
+}
+
+func (m *matches) add(tid storage.TupleID, row storage.Row, withTIDs bool) {
+	m.rows = append(m.rows, row)
+	if withTIDs {
+		m.tids = append(m.tids, tid)
+	}
 }
 
 // runScan executes the access path as its OU (seq_scan or index_scan)
 // followed by a filter OU for residual predicates. It returns the visible
-// matches.
-func (e *Engine) runScan(ctx *Ctx, ap accessPath) []match {
-	var out []match
+// matches, with their tuple addresses when withTIDs is set.
+func (e *Engine) runScan(ctx *Ctx, ap accessPath, withTIDs bool) matches {
+	var out matches
 
 	if ap.table.Virtual != nil {
-		out = e.runVirtualScan(ctx, ap)
+		out.rows = e.runVirtualScan(ctx, ap)
 		return e.applyResidual(ctx, ap, out)
 	}
 
@@ -120,7 +127,7 @@ func (e *Engine) runScan(ctx *Ctx, ap accessPath) []match {
 			row, w := ctx.Txn.Read(heap, id)
 			walked += w
 			if row != nil {
-				out = append(out, match{tid: id, row: row})
+				out.add(id, row, withTIDs)
 			}
 			return true
 		})
@@ -138,7 +145,7 @@ func (e *Engine) runScan(ctx *Ctx, ap accessPath) []match {
 		var tids []int64
 		lookups := 1
 		if ap.exact {
-			tids = append(tids, ap.index.Search(ap.key)...)
+			tids = ap.index.Search(ap.key) // the index's postings, read only
 		} else {
 			ap.index.RangeSearch(ap.keyLo, ap.keyHi, func(k int64, ts []int64) bool {
 				tids = append(tids, ts...)
@@ -147,24 +154,28 @@ func (e *Engine) runScan(ctx *Ctx, ap accessPath) []match {
 			lookups = 1 + len(tids)/8 // leaf-chain hops
 		}
 		walked := 0
+		out.rows = make([]storage.Row, 0, len(tids))
+		if withTIDs {
+			out.tids = make([]storage.TupleID, 0, len(tids))
+		}
 		for _, t := range tids {
 			row, w := ctx.Txn.Read(heap, storage.TupleID(t))
 			walked += w
 			if row != nil {
-				out = append(out, match{tid: storage.TupleID(t), row: row})
+				out.add(storage.TupleID(t), row, withTIDs)
 			}
 		}
 		h := float64(ap.index.Height())
 		work := sim.Work{
 			Instructions:         180 + 60*h*float64(lookups) + 48*float64(len(tids)) + 22*float64(walked),
-			BytesTouched:         64*h*float64(lookups) + float64(len(out))*float64(width),
+			BytesTouched:         64*h*float64(lookups) + float64(len(out.rows))*float64(width),
 			WorkingSetBytes:      float64(ap.index.Len())*24 + float64(heap.DataBytes())*0.1,
 			RandomAccessFraction: 0.85,
 		}
 		ctx.Task.Charge(work)
 		ouEnd(ctx, m)
 		ouFeatures(ctx, m, 0,
-			uint64(lookups), uint64(ap.index.Height()), uint64(len(out)), uint64(width))
+			uint64(lookups), uint64(ap.index.Height()), uint64(len(out.rows)), uint64(width))
 	}
 
 	return e.applyResidual(ctx, ap, out)
@@ -173,32 +184,39 @@ func (e *Engine) runScan(ctx *Ctx, ap accessPath) []match {
 // applyResidual runs the filter OU over the scan's matches. Virtual-table
 // pushdown is block-granular (zone maps), so even pushed predicates are
 // re-checked here — correctness never depends on the source filtering.
-func (e *Engine) applyResidual(ctx *Ctx, ap accessPath, out []match) []match {
+func (e *Engine) applyResidual(ctx *Ctx, ap accessPath, out matches) matches {
 	if len(ap.residual) == 0 {
 		return out
 	}
 	m := e.ouBegin(ctx, OUFilter)
-	in := len(out)
-	kept := out[:0]
-	for _, mt := range out {
+	in := len(out.rows)
+	kept := 0
+	for i, row := range out.rows {
 		ok := true
 		for _, p := range ap.residual {
-			if !p.eval(mt.row) {
+			if !p.eval(row) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			kept = append(kept, mt)
+			out.rows[kept] = row
+			if out.tids != nil {
+				out.tids[kept] = out.tids[i]
+			}
+			kept++
 		}
 	}
-	out = kept
+	out.rows = out.rows[:kept]
+	if out.tids != nil {
+		out.tids = out.tids[:kept]
+	}
 	ctx.Task.Charge(sim.Work{
 		Instructions: 40 + float64(in)*14*float64(len(ap.residual)),
 		BytesTouched: float64(in) * 16 * float64(len(ap.residual)),
 	})
 	ouEnd(ctx, m)
-	ouFeatures(ctx, m, 0, uint64(in), uint64(len(ap.residual)), uint64(len(out)))
+	ouFeatures(ctx, m, 0, uint64(in), uint64(len(ap.residual)), uint64(kept))
 	return out
 }
 
@@ -206,7 +224,7 @@ func (e *Engine) applyResidual(ctx *Ctx, ap accessPath, out []match) []match {
 // archive) under the seq_scan OU. The projection is the union of the
 // query's needs and the residual predicates' columns; pushdown predicates
 // let the source skip whole column blocks via its zone maps.
-func (e *Engine) runVirtualScan(ctx *Ctx, ap accessPath) []match {
+func (e *Engine) runVirtualScan(ctx *Ctx, ap accessPath) []storage.Row {
 	vt := ap.table.Virtual
 	schema := vt.Schema()
 
@@ -238,9 +256,9 @@ func (e *Engine) runVirtualScan(ctx *Ctx, ap accessPath) []match {
 	}
 
 	m := e.ouBegin(ctx, OUSeqScan)
-	var out []match
+	var out []storage.Row
 	stats := vt.Scan(proj, push, func(row storage.Row) bool {
-		out = append(out, match{row: row})
+		out = append(out, row)
 		return true
 	})
 	blocks := stats.BlocksRead + stats.BlocksSkipped
@@ -278,6 +296,7 @@ func virtualOp(op sql.CmpOp) (catalog.VirtualOp, bool) {
 // compilePreds resolves WHERE conjuncts against rel, returning the
 // compiled ones and deferring those that reference other relations.
 func compilePreds(preds []sql.Predicate, rel *relation, params []storage.Value) (compiled []compiledPred, deferred []sql.Predicate, err error) {
+	compiled = make([]compiledPred, 0, len(preds))
 	for _, p := range preds {
 		idx, rerr := rel.resolve(p.Col)
 		if rerr != nil {
@@ -290,6 +309,12 @@ func compilePreds(preds []sql.Predicate, rel *relation, params []storage.Value) 
 		}
 		compiled = append(compiled, compiledPred{col: idx, op: p.Op, val: v})
 	}
-	sort.SliceStable(compiled, func(i, j int) bool { return compiled[i].col < compiled[j].col })
+	// Stable insertion sort by column: a statement has a handful of
+	// predicates, and sort.SliceStable would allocate on every call.
+	for i := 1; i < len(compiled); i++ {
+		for j := i; j > 0 && compiled[j].col < compiled[j-1].col; j-- {
+			compiled[j], compiled[j-1] = compiled[j-1], compiled[j]
+		}
+	}
 	return compiled, deferred, nil
 }

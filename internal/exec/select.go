@@ -23,7 +23,7 @@ func (e *Engine) executeSelect(ctx *Ctx, s *sql.SelectStmt, params []storage.Val
 		return e.executeFusedSelect(ctx, s, params)
 	}
 
-	rel := newRelation(s.From.Binding(), tbl.Schema())
+	rel := e.newRelation(s.From.Binding(), tbl.Schema())
 	preds, deferred, err := compilePreds(s.Where, rel, params)
 	if err != nil {
 		return nil, err
@@ -32,11 +32,7 @@ func (e *Engine) executeSelect(ctx *Ctx, s *sql.SelectStmt, params []storage.Val
 	if tbl.Virtual != nil && len(s.Joins) == 0 && len(deferred) == 0 {
 		ap.proj = virtualProjection(s, rel)
 	}
-	matches := e.runScan(ctx, ap)
-	rel.rows = make([]storage.Row, len(matches))
-	for i, m := range matches {
-		rel.rows[i] = m.row
-	}
+	rel.rows = e.runScan(ctx, ap, false).rows
 
 	// Joins: push deferred predicates to the joined table when possible.
 	for _, j := range s.Joins {
@@ -44,17 +40,13 @@ func (e *Engine) executeSelect(ctx *Ctx, s *sql.SelectStmt, params []storage.Val
 		if err != nil {
 			return nil, err
 		}
-		rrel := newRelation(j.Table.Binding(), rtbl.Schema())
+		rrel := e.newRelation(j.Table.Binding(), rtbl.Schema())
 		rpreds, stillDeferred, err := compilePreds(deferred, rrel, params)
 		if err != nil {
 			return nil, err
 		}
 		deferred = stillDeferred
-		rmatches := e.runScan(ctx, planAccess(rtbl, rpreds))
-		rrel.rows = make([]storage.Row, len(rmatches))
-		for i, m := range rmatches {
-			rrel.rows[i] = m.row
-		}
+		rrel.rows = e.runScan(ctx, planAccess(rtbl, rpreds), false).rows
 		rel, err = e.hashJoin(ctx, rel, rrel, j)
 		if err != nil {
 			return nil, err
@@ -218,8 +210,8 @@ func (e *Engine) hashJoin(ctx *Ctx, left, right *relation, j sql.JoinClause) (*r
 
 // project evaluates a non-aggregating select list.
 func project(rel *relation, s *sql.SelectStmt) (*Result, error) {
-	var cols []string
-	var idxs []int
+	cols := make([]string, 0, len(s.Exprs))
+	idxs := make([]int, 0, len(s.Exprs))
 	for _, x := range s.Exprs {
 		if x.Star {
 			for i, qc := range rel.cols {
@@ -250,12 +242,19 @@ func project(rel *relation, s *sql.SelectStmt) (*Result, error) {
 			return res, nil
 		}
 	}
-	for _, row := range rel.rows {
-		out := make(storage.Row, len(idxs))
+	if len(rel.rows) == 0 {
+		return res, nil
+	}
+	// One backing array holds every projected row.
+	n := len(idxs)
+	vals := make([]storage.Value, len(rel.rows)*n)
+	res.Rows = make([]storage.Row, len(rel.rows))
+	for r, row := range rel.rows {
+		out := storage.Row(vals[r*n : (r+1)*n : (r+1)*n])
 		for i, idx := range idxs {
 			out[i] = row[idx]
 		}
-		res.Rows = append(res.Rows, out)
+		res.Rows[r] = out
 	}
 	return res, nil
 }
@@ -530,7 +529,7 @@ func (e *Engine) executeFusedSelect(ctx *Ctx, s *sql.SelectStmt, params []storag
 	if err != nil {
 		return nil, err
 	}
-	rel := newRelation(s.From.Binding(), tbl.Heap.Schema())
+	rel := e.newRelation(s.From.Binding(), tbl.Heap.Schema())
 	preds, deferred, err := compilePreds(s.Where, rel, params)
 	if err != nil {
 		return nil, err
@@ -547,11 +546,7 @@ func (e *Engine) executeFusedSelect(ctx *Ctx, s *sql.SelectStmt, params []storag
 	// Run the pipeline WITHOUT per-OU markers: one measurement covers it.
 	saved := e.markers
 	e.markers = map[tscout.OUID]*tscout.Marker{}
-	matches := e.runScan(ctx, ap)
-	rel.rows = make([]storage.Row, len(matches))
-	for i, mt := range matches {
-		rel.rows[i] = mt.row
-	}
+	rel.rows = e.runScan(ctx, ap, false).rows
 	res, perr := project(rel, s)
 	if perr == nil {
 		if s.Limit >= 0 && len(res.Rows) > s.Limit {
@@ -573,7 +568,7 @@ func (e *Engine) executeFusedSelect(ctx *Ctx, s *sql.SelectStmt, params []storag
 		scanFeat := []uint64{uint64(tbl.Heap.NumSlots()), uint64(tbl.Heap.Schema().RowWidth())}
 		if ap.index != nil {
 			scanOU = OUIndexScan
-			scanFeat = []uint64{1, uint64(ap.index.Height()), uint64(len(matches))}
+			scanFeat = []uint64{1, uint64(ap.index.Height()), uint64(len(rel.rows))}
 		}
 		parts := []tscout.FusedPart{
 			{OU: scanOU, Features: scanFeat},
@@ -581,7 +576,7 @@ func (e *Engine) executeFusedSelect(ctx *Ctx, s *sql.SelectStmt, params []storag
 		}
 		if len(ap.residual) > 0 {
 			parts = append(parts, tscout.FusedPart{
-				OU: OUFilter, Features: []uint64{uint64(len(matches)), uint64(len(ap.residual))},
+				OU: OUFilter, Features: []uint64{uint64(len(rel.rows)), uint64(len(ap.residual))},
 			})
 		}
 		if err := pm.FeaturesVector(ctx.Task, res.Bytes(), parts); err != nil {

@@ -39,8 +39,13 @@ func FromArchive(r *archive.Reader, hwContext []float64) ([]Point, error) {
 			}
 		}
 		ou, sub := b.OU(), b.Subsystem()
+		// One backing array per block; each point's capped slice leaves
+		// room for the hardware context, so the append below fills in
+		// place and never touches the next point's features.
+		w := nf + len(hwContext)
+		backing := make([]float64, len(idx)*w)
 		for row := range idx {
-			feats := make([]float64, nf, nf+len(hwContext))
+			feats := backing[row*w : row*w+nf : (row+1)*w]
 			for f := 0; f < nf; f++ {
 				feats[f] = cols[f][row]
 			}

@@ -51,16 +51,27 @@ func TestFromArchiveMatchesFromTrainingPoints(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("FromArchive returned %d points, want %d", len(got), len(want))
 	}
-	for i := range want {
-		a, b := want[i], got[i]
-		if a.OU != b.OU || a.Sub != b.Sub || a.Template != b.Template ||
-			a.TargetUS != b.TargetUS || len(a.Features) != len(b.Features) {
-			t.Fatalf("point %d differs:\n want %+v\n got  %+v", i, a, b)
-		}
-		for f := range a.Features {
-			if math.Float64bits(a.Features[f]) != math.Float64bits(b.Features[f]) {
-				t.Fatalf("point %d feature %d: %v != %v", i, f, a.Features[f], b.Features[f])
+	check := func(when string) {
+		t.Helper()
+		for i := range want {
+			a, b := want[i], got[i]
+			if a.OU != b.OU || a.Sub != b.Sub || a.Template != b.Template ||
+				a.TargetUS != b.TargetUS || len(a.Features) != len(b.Features) {
+				t.Fatalf("%s: point %d differs:\n want %+v\n got  %+v", when, i, a, b)
+			}
+			for f := range a.Features {
+				if math.Float64bits(a.Features[f]) != math.Float64bits(b.Features[f]) {
+					t.Fatalf("%s: point %d feature %d: %v != %v", when, i, f, a.Features[f], b.Features[f])
+				}
 			}
 		}
 	}
+	check("read back")
+
+	// Points may share a backing array, but appending to one point's
+	// features must never write into another point's.
+	for i := range got {
+		_ = append(got[i].Features, -1, -2, -3)
+	}
+	check("after appending to every point")
 }

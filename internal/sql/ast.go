@@ -8,6 +8,13 @@ package sql
 import "tscout/internal/storage"
 
 // Statement is any parsed SQL statement.
+//
+// A parsed statement is immutable: nothing may write to its fields, slices
+// or expressions after Parse returns. The DBMS caches one parsed statement
+// per SQL text and hands the same value to every execution, concurrent
+// ones included, so a write would leak into every later execution of that
+// text. Code that needs a variant builds a new statement (as
+// EXPLAIN-based collection wraps one in an ExplainStmt).
 type Statement interface{ stmt() }
 
 // ColRef names a column, optionally qualified by table or alias.

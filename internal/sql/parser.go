@@ -14,39 +14,54 @@ func Parse(input string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: input}
-	stmt, err := p.statement()
-	if err != nil {
-		return nil, err
-	}
-	// Allow a trailing semicolon.
-	if p.peek().kind == tokSymbol && p.peek().text == ";" {
-		p.next()
-	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errf("unexpected %s after statement", p.peek())
-	}
-	return stmt, nil
+	return parseTokens(toks, input)
 }
 
 // ParseScript parses a semicolon-separated batch of statements (the
-// multi-query packets PostgreSQL's protocol allows, paper §3.1).
+// multi-query packets PostgreSQL's protocol allows, paper §3.1). It splits
+// on the lexer's ';' tokens, so a semicolon inside a string literal stays
+// part of its statement.
 func ParseScript(input string) ([]Statement, error) {
+	toks, err := lex(input)
+	if err != nil {
+		return nil, err
+	}
 	var out []Statement
-	for _, part := range strings.Split(input, ";") {
-		if strings.TrimSpace(part) == "" {
+	start := 0
+	for i, t := range toks {
+		if t.kind != tokEOF && (t.kind != tokSymbol || t.text != ";") {
 			continue
 		}
-		s, err := Parse(part)
-		if err != nil {
-			return nil, err
+		if i > start {
+			seg := append(toks[start:i:i], token{kind: tokEOF, pos: t.pos})
+			s, err := parseTokens(seg, input)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, s)
 		}
-		out = append(out, s)
+		start = i + 1
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("sql: empty statement")
 	}
 	return out, nil
+}
+
+// parseTokens parses exactly one statement, optionally followed by a
+// semicolon, from toks, which end in EOF; src is the text they came from,
+// for error messages.
+func parseTokens(toks []token, src string) (Statement, error) {
+	p := &parser{toks: toks, src: src}
+	stmt, err := p.statement()
+	if err != nil {
+		return nil, err
+	}
+	p.symbol(";")
+	if p.peek().kind != tokEOF {
+		return nil, p.errf("unexpected %s after statement", p.peek())
+	}
+	return stmt, nil
 }
 
 type parser struct {

@@ -193,6 +193,25 @@ func TestParseScript(t *testing.T) {
 	if _, err := ParseScript("  ;  "); err == nil {
 		t.Fatalf("empty script must fail")
 	}
+
+	// A semicolon inside a string literal does not end the statement.
+	stmts, err = ParseScript("INSERT INTO h VALUES (1, 'a;b'); SELECT * FROM h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stmts) != 2 {
+		t.Fatalf("script with quoted ';': %d statements", len(stmts))
+	}
+	ins, ok := stmts[0].(*InsertStmt)
+	if !ok {
+		t.Fatalf("first statement: %T", stmts[0])
+	}
+	if lit, ok := ins.Rows[0][1].(Literal); !ok || lit.Val.Str != "a;b" {
+		t.Fatalf("string literal: %+v", ins.Rows[0][1])
+	}
+	if _, ok := stmts[1].(*SelectStmt); !ok {
+		t.Fatalf("second statement: %T", stmts[1])
+	}
 }
 
 func TestParseComments(t *testing.T) {

@@ -55,6 +55,16 @@ go test ./internal/experiment -run '^TestFrontierShape$' -count=1
 go test ./internal/tscout -run '^(TestLiveRetuneBitEquality|TestRetuneIsolationAcrossSubsystems|TestStickySinkFailsFast)$' -count=1
 go test ./internal/workload -run '^TestSingleCPUGoldenFingerprint$' -count=1
 
+# DBMS smoke: the statement path's contract — every cached statement still
+# equals a fresh parse after all five workloads ran on one server, the
+# cache stops at its cap, concurrent parses, a parse error is answered with
+# an error response, the per-statement allocation gate — plus ParseScript's
+# split on tokens, and both golden fingerprints, which prove the cache and
+# the shared column bindings moved no virtual nanosecond.
+go test ./internal/dbms -run '^(TestStatementCacheASTImmutable|TestStatementCacheBounded|TestStatementCacheConcurrentParse|TestStatementParseErrorResponds|TestStatementAllocsHalved)$' -count=1
+go test ./internal/sql -run '^TestParseScript$' -count=1
+go test ./internal/workload -run '^(TestSingleCPUGoldenFingerprint|TestSegmentSinkGoldenFingerprint)$' -count=1
+
 # FUZZ=1 adds a short fuzzing pass over every fuzz target (one -fuzz
 # pattern per package invocation is a go test restriction).
 if [ "${FUZZ:-0}" = "1" ]; then
