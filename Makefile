@@ -45,7 +45,6 @@ fuzz-smoke:
 	$(GO) test ./internal/bpf -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bpf -run '^$$' -fuzz '^FuzzVerifyThenRun$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bpf -run '^$$' -fuzz '^FuzzOptimize$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/bpf -run '^$$' -fuzz '^FuzzRingbuf$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bpf -run '^$$' -fuzz '^FuzzPerCPURing$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tscout -run '^$$' -fuzz '^FuzzProcessorDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tscout -run '^$$' -fuzz '^FuzzFaultSchedule$$' -fuzztime $(FUZZTIME)

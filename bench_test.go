@@ -247,7 +247,7 @@ func BenchmarkProcessorShardedVsSingle(b *testing.B) {
 			for j, sub := range subs {
 				col := ts.CollectorFor(sub)
 				for s := 0; s < perPeriod; s++ {
-					col.Ring.Submit(tscout.EncodeSample(
+					col.Ring.SubmitFrom(0, tscout.EncodeSample(
 						tscout.OUID(50+j), 1, tscout.Metrics{ElapsedNS: 5}, []uint64{1, 2}))
 				}
 			}
@@ -477,7 +477,7 @@ func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
 		var drained int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			drained += int64(p.Drain(tscout.DrainOptions{PerRingCap: 512}).Drained)
+			drained += int64(p.Drain(tscout.DrainOptions{}).Drained)
 		}
 		b.StopTimer()
 		close(stop)

@@ -943,8 +943,8 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 		}
 	case HelperPerfOutput:
 		m := cc.constMap(st, R1)
-		rb, ok := m.(PerfOutputTarget)
-		if m == nil || !ok {
+		rb, ok := m.(*PerCPURing)
+		if !ok {
 			return nil
 		}
 		size64, isConst := scalarConst(st, R3)

@@ -146,95 +146,21 @@ func FuzzVerifyThenRun(f *testing.F) {
 	})
 }
 
-// FuzzRingbuf differentially tests PerfRingBuffer against a trivial model
-// queue: FIFO order, overwrite-oldest-on-full, and the accounting
-// identity submitted == drained + dropped + pending at every step.
-func FuzzRingbuf(f *testing.F) {
-	f.Add(uint8(4), []byte{0x09, 0x11, 0x09, 0xFF, 0x00})
-	f.Add(uint8(1), []byte{0x09, 0x09, 0x09, 0x11})
-	f.Add(uint8(16), []byte{0x29, 0x31, 0x18, 0x02})
-
-	f.Fuzz(func(t *testing.T, capacity uint8, ops []byte) {
-		capV := int(capacity%32) + 1
-		rb := NewPerfRingBuffer("fuzz/rb", capV)
-
-		type model struct {
-			queue     [][]byte
-			submitted int64
-			dropped   int64
-			drained   int64
-		}
-		var m model
-		next := byte(0)
-
-		for _, op := range ops {
-			switch op & 0x7 {
-			case 0, 1, 2: // submit a tagged sample
-				payload := []byte{next, byte(op >> 3)}
-				next++
-				rb.Submit(payload)
-				m.submitted++
-				if len(m.queue) == capV {
-					m.queue = m.queue[1:] // overwrite oldest
-					m.dropped++
-				}
-				m.queue = append(m.queue, payload)
-			case 3, 4: // drain up to max samples
-				max := int(op >> 3)
-				got := rb.Drain(max)
-				want := len(m.queue)
-				if max > 0 && max < want {
-					want = max
-				}
-				if len(got) != want {
-					t.Fatalf("Drain(%d): got %d samples, model has %d", max, len(got), want)
-				}
-				for i, s := range got {
-					w := m.queue[i]
-					if len(s) != len(w) || s[0] != w[0] || s[1] != w[1] {
-						t.Fatalf("Drain order: sample %d = %v, model %v", i, s, w)
-					}
-				}
-				m.queue = m.queue[want:]
-				m.drained += int64(want)
-			case 5: // stats identity
-				st := rb.Stats()
-				if st.Submitted != m.submitted || st.Dropped != m.dropped ||
-					st.Pending != len(m.queue) || st.Capacity != capV {
-					t.Fatalf("stats %+v, model %+v pending %d", st, m, len(m.queue))
-				}
-				if st.Submitted != m.drained+st.Dropped+int64(st.Pending) {
-					t.Fatalf("identity violated: %+v drained %d", st, m.drained)
-				}
-			case 6: // len
-				if rb.Len() != len(m.queue) {
-					t.Fatalf("Len %d, model %d", rb.Len(), len(m.queue))
-				}
-			case 7: // reset
-				rb.Reset()
-				m = model{}
-			}
-		}
-		st := rb.Stats()
-		if st.Submitted != m.drained+st.Dropped+int64(st.Pending) {
-			t.Fatalf("final identity violated: %+v drained %d", st, m.drained)
-		}
-	})
-}
-
 // FuzzPerCPURing differentially tests PerCPURing against one model queue
 // per CPU: submissions route by CPU (with wrap-around for out-of-range
 // values), each ring is an independent FIFO with overwrite-oldest-on-full,
-// and both the per-ring and the aggregate accounting identities
-// submitted == drained + dropped + pending hold at every step.
+// bounded and drain-everything DrainBatch calls return the model's oldest
+// samples in order, and both the per-ring and the aggregate accounting
+// identities submitted == drained + dropped + pending hold at every step.
 func FuzzPerCPURing(f *testing.F) {
 	f.Add(uint8(3), uint8(4), []byte{0x09, 0x51, 0x0B, 0xFF, 0x00})
 	f.Add(uint8(1), uint8(1), []byte{0x09, 0x09, 0x0B, 0x15})
 	f.Add(uint8(8), uint8(2), []byte{0x29, 0x71, 0x1B, 0x02, 0x05})
+	f.Add(uint8(2), uint8(31), []byte{0x08, 0x09, 0x02, 0x0C, 0x4C, 0x05, 0xC4, 0x07})
 
 	f.Fuzz(func(t *testing.T, numCPUs, capacity uint8, ops []byte) {
 		cpus := int(numCPUs%8) + 1
-		capV := int(capacity%16) + 1
+		capV := int(capacity%32) + 1
 		r := NewPerCPURing("fuzz/percpu", cpus, capV)
 
 		type model struct {
@@ -261,10 +187,10 @@ func FuzzPerCPURing(f *testing.F) {
 					m.dropped++
 				}
 				m.queue = append(m.queue, payload)
-			case 2: // legacy Submit routes to cpu 0
+			case 2: // submit from cpu 0, the Map.Update adapter's cpu
 				payload := []byte{next, 0xEE}
 				next++
-				r.Submit(payload)
+				r.SubmitFrom(0, payload)
 				m := &ms[0]
 				m.submitted++
 				if len(m.queue) == capV {
@@ -274,11 +200,14 @@ func FuzzPerCPURing(f *testing.F) {
 				m.queue = append(m.queue, payload)
 			case 3, 4: // drain one ring into a reused batch
 				max := cpu + 1 // reuse the routed cpu as a small max
+				if op&0x7 == 4 {
+					max = -int(op >> 6) // 0 or less: drain everything
+				}
 				batch.Reset()
 				n := r.DrainBatch(cpu, &batch, max)
 				m := &ms[cpu]
 				want := len(m.queue)
-				if max < want {
+				if max > 0 && max < want {
 					want = max
 				}
 				if n != batch.Len() || n != want {

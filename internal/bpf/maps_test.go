@@ -1,7 +1,6 @@
 package bpf
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -200,132 +199,6 @@ func TestPerTaskMap(t *testing.T) {
 	}
 	if p.MaxEntries() != 0 || p.KeySize() != 8 || p.ValueSize() != 16 || p.Name() != "p" {
 		t.Fatalf("metadata")
-	}
-}
-
-func TestPerfRingBufferOrder(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 4)
-	for i := byte(0); i < 3; i++ {
-		r.Submit([]byte{i})
-	}
-	got := r.Drain(0)
-	if len(got) != 3 {
-		t.Fatalf("drain count: %d", len(got))
-	}
-	for i, g := range got {
-		if g[0] != byte(i) {
-			t.Fatalf("FIFO order violated: %v", got)
-		}
-	}
-	if r.Len() != 0 {
-		t.Fatalf("drain must empty the ring")
-	}
-}
-
-func TestPerfRingBufferOverwrite(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 2)
-	for i := byte(0); i < 5; i++ {
-		r.Submit([]byte{i})
-	}
-	if r.Dropped() != 3 {
-		t.Fatalf("dropped: %d want 3", r.Dropped())
-	}
-	if r.Submitted() != 5 {
-		t.Fatalf("submitted: %d want 5", r.Submitted())
-	}
-	got := r.Drain(0)
-	if len(got) != 2 || got[0][0] != 3 || got[1][0] != 4 {
-		t.Fatalf("overwrite must keep newest: %v", got)
-	}
-}
-
-func TestPerfRingBufferDrainMax(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 8)
-	for i := byte(0); i < 6; i++ {
-		r.Submit([]byte{i})
-	}
-	first := r.Drain(2)
-	if len(first) != 2 || first[0][0] != 0 || first[1][0] != 1 {
-		t.Fatalf("bounded drain: %v", first)
-	}
-	rest := r.Drain(0)
-	if len(rest) != 4 || rest[0][0] != 2 {
-		t.Fatalf("remainder: %v", rest)
-	}
-}
-
-func TestPerfRingBufferSubmitCopies(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 2)
-	buf := []byte{1, 2, 3}
-	r.Submit(buf)
-	buf[0] = 9
-	got := r.Drain(0)
-	if !bytes.Equal(got[0], []byte{1, 2, 3}) {
-		t.Fatalf("Submit must copy: %v", got[0])
-	}
-}
-
-func TestPerfRingBufferReset(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 2)
-	r.Submit([]byte{1})
-	r.Submit([]byte{2})
-	r.Submit([]byte{3})
-	r.Reset()
-	if r.Len() != 0 || r.Submitted() != 0 || r.Dropped() != 0 {
-		t.Fatalf("reset must clear everything")
-	}
-}
-
-func TestPerfRingBufferMapAdapter(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 2)
-	if r.Lookup(nil) != nil || r.Delete(nil) {
-		t.Fatalf("lookup/delete unsupported")
-	}
-	if err := r.Update(nil, []byte{5}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 1 {
-		t.Fatalf("update must submit")
-	}
-	if r.KeySize() != 0 || r.ValueSize() != 0 || r.MaxEntries() != 2 || r.Name() != "rb" {
-		t.Fatalf("metadata")
-	}
-}
-
-func TestPerfRingBufferMinCapacity(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 0)
-	r.Submit([]byte{1})
-	if r.Len() != 1 {
-		t.Fatalf("capacity must clamp to >=1")
-	}
-}
-
-// Property: a ring buffer drained after N submissions holds exactly
-// min(N, capacity) samples and they are the newest N in order.
-func TestPerfRingBufferProperty(t *testing.T) {
-	f := func(n uint8, capRaw uint8) bool {
-		capacity := int(capRaw%16) + 1
-		r := NewPerfRingBuffer("rb", capacity)
-		for i := 0; i < int(n); i++ {
-			r.Submit([]byte{byte(i)})
-		}
-		got := r.Drain(0)
-		want := int(n)
-		if want > capacity {
-			want = capacity
-		}
-		if len(got) != want {
-			return false
-		}
-		for i, g := range got {
-			if g[0] != byte(int(n)-want+i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 // identical fresh kernels, tasks, and maps.
 
 // mapFingerprint renders a map's end-state canonically so two variants can
-// be compared byte-for-byte. Ring buffers fold in their drain contents and
-// submit/drop accounting; hash and per-task maps sort their keys.
+// be compared byte-for-byte. Per-CPU rings fold in each CPU's submit/drop
+// accounting and pending contents, in CPU order; hash and per-task maps
+// sort their keys.
 func mapFingerprint(m Map) string {
 	switch mm := m.(type) {
 	case *HashMap:
@@ -56,11 +57,43 @@ func mapFingerprint(m Map) string {
 			fmt.Fprintf(&b, "%d=%x;", pid, snap[pid])
 		}
 		return "pertask:" + b.String()
-	case *PerfRingBuffer:
-		st := mm.Stats()
-		return fmt.Sprintf("ring:sub=%d,drop=%d:%x", st.Submitted, st.Dropped, mm.Drain(0))
+	case *PerCPURing:
+		var b strings.Builder
+		var batch Batch
+		for cpu := 0; cpu < mm.NumCPUs(); cpu++ {
+			st := mm.RingStats(cpu)
+			batch.Reset()
+			n := mm.DrainBatch(cpu, &batch, 0)
+			fmt.Fprintf(&b, "cpu%d:sub=%d,drop=%d:", cpu, st.Submitted, st.Dropped)
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&b, "%x,", batch.Sample(i))
+			}
+			b.WriteByte(';')
+		}
+		return "percpu:" + b.String()
 	default:
 		return fmt.Sprintf("unknown:%s", m.Name())
+	}
+}
+
+// TestMapFingerprintCoversGenMaps guards the differential oracles' view of
+// map state: every map a fuzz program can reach must have a canonical
+// rendering, and a ring's rendering must tell apart samples submitted from
+// different CPUs — otherwise interp≡JIT and original≡optimized would
+// compare nothing for that map.
+func TestMapFingerprintCoversGenMaps(t *testing.T) {
+	for _, m := range NewGenMaps() {
+		if fp := mapFingerprint(m); strings.HasPrefix(fp, "unknown:") {
+			t.Errorf("map %q has no fingerprint: %s", m.Name(), fp)
+		}
+	}
+	onCPU := func(cpu int) string {
+		r := NewPerCPURing("t/percpu", 2, 4)
+		r.SubmitFrom(cpu, []byte{7})
+		return mapFingerprint(r)
+	}
+	if onCPU(0) == onCPU(1) {
+		t.Fatalf("per-CPU ring fingerprint ignores the submitting CPU: %s", onCPU(0))
 	}
 }
 

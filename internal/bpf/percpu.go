@@ -2,14 +2,16 @@ package bpf
 
 import "sync"
 
-// PerfOutputTarget is the map contract perf_event_output submits through:
-// any bounded sample channel that can route a submission by the submitting
-// task's CPU. *PerfRingBuffer (one shared ring; the CPU hint is ignored)
-// and *PerCPURing (one ring per simulated CPU) both implement it, and the
-// verifier's helper/map compatibility check admits either.
-type PerfOutputTarget interface {
-	Map
-	SubmitFrom(cpu int, data []byte)
+// RingStats is a consistent snapshot of one ring's counters, taken under
+// that ring's lock so submitted/dropped/pending cannot tear against a
+// concurrent submit (the accounting hazard behind stale feedback deltas).
+type RingStats struct {
+	Submitted int64 // cumulative submissions
+	Drained   int64 // cumulative samples pulled out by the consumer
+	Dropped   int64 // cumulative overwrites
+	Pending   int   // samples currently buffered
+	HighWater int   // peak Pending since creation/Reset (overflow forensics)
+	Capacity  int
 }
 
 // cpuRing is one CPU's slice of a PerCPURing: a bounded FIFO with its own
@@ -88,13 +90,16 @@ func (r *cpuRing) reset() {
 	r.mu.Unlock()
 }
 
-// PerCPURing is the per-CPU analogue of PerfRingBuffer: one bounded ring
-// per simulated CPU, as the Linux perf subsystem allocates its buffers
-// (paper §3.2 — what lets Processor threads scale without contending on
-// one lock). Submissions route by the submitting task's CPU; each CPU's
-// ring has its own mutex, so submitters on different CPUs never contend
-// and a drain thread that owns a disjoint set of CPU rings never shares a
-// lock with another drain thread.
+// PerCPURing is the bounded channel between the kernel-space Collector and
+// the user-space Processor (paper §3.2): one bounded ring per simulated
+// CPU, as the Linux perf subsystem allocates its buffers, which is what
+// lets Processor threads scale without contending on one lock. A full ring
+// overwrites its oldest sample and counts a drop — the Collector never
+// blocks, which is TScout's "no back pressure" guarantee. Submissions
+// route by the submitting task's CPU; each CPU's ring has its own mutex,
+// so submitters on different CPUs never contend and a drain thread that
+// owns a disjoint set of CPU rings never shares a lock with another drain
+// thread.
 type PerCPURing struct {
 	name      string
 	perCPUCap int
@@ -128,9 +133,6 @@ func (r *PerCPURing) ValueSize() int { return 0 }
 
 // MaxEntries returns the total capacity across all CPU rings.
 func (r *PerCPURing) MaxEntries() int { return r.perCPUCap * len(r.rings) }
-
-// PerCPUCapacity returns one CPU ring's capacity.
-func (r *PerCPURing) PerCPUCapacity() int { return r.perCPUCap }
 
 // NumCPUs returns the number of CPU rings.
 func (r *PerCPURing) NumCPUs() int { return len(r.rings) }
@@ -167,10 +169,6 @@ func (r *PerCPURing) SubmitFrom(cpu int, data []byte) {
 	}
 	r.rings[cpu%len(r.rings)].submit(data)
 }
-
-// Submit routes to CPU 0: compatibility with callers (tests, benchmarks)
-// that inject samples without a task context.
-func (r *PerCPURing) Submit(data []byte) { r.SubmitFrom(0, data) }
 
 // DrainBatch removes up to max samples (0 or less = everything) from one
 // CPU's ring in submission order, appending them to dst's contiguous
@@ -228,28 +226,3 @@ func (r *PerCPURing) Reset() {
 		r.rings[i].reset()
 	}
 }
-
-// Drain removes and returns up to max samples per CPU ring (0 or less =
-// everything), concatenated in CPU order. It is a compatibility
-// convenience for tests and offline tools; the allocation-free hot path
-// is DrainBatch.
-func (r *PerCPURing) Drain(max int) [][]byte {
-	var out [][]byte
-	var b Batch
-	for cpu := range r.rings {
-		b.Reset()
-		n := r.rings[cpu].drainBatch(&b, max)
-		for i := 0; i < n; i++ {
-			cp := make([]byte, len(b.Sample(i)))
-			copy(cp, b.Sample(i))
-			out = append(out, cp)
-		}
-	}
-	return out
-}
-
-// Submitted returns total Submit calls across all CPU rings.
-func (r *PerCPURing) Submitted() int64 { return r.Stats().Submitted }
-
-// Dropped returns samples lost to overwrites across all CPU rings.
-func (r *PerCPURing) Dropped() int64 { return r.Stats().Dropped }

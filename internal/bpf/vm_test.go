@@ -217,7 +217,7 @@ func TestRunStackMapPushPop(t *testing.T) {
 }
 
 func TestRunPerfOutput(t *testing.T) {
-	rb := NewPerfRingBuffer("rb", 4)
+	rb := NewPerCPURing("rb", 1, 4)
 	b := NewBuilder("perf")
 	idx := b.AddMap(rb)
 	p := b.
@@ -230,7 +230,7 @@ func TestRunPerfOutput(t *testing.T) {
 		Mov(R0, 0).
 		Exit().MustBuild()
 	runProg(t, p)
-	got := rb.Drain(0)
+	got := drainAll(rb)
 	if len(got) != 1 || len(got[0]) != 16 {
 		t.Fatalf("perf submit: %v", got)
 	}
@@ -364,7 +364,7 @@ func TestAttachToTracepoint(t *testing.T) {
 	task := k.NewTask("w")
 	tp := k.Tracepoint("ou/seqscan/begin")
 
-	rb := NewPerfRingBuffer("rb", 8)
+	rb := NewPerCPURing("rb", 1, 8)
 	b := NewBuilder("collector")
 	idx := b.AddMap(rb)
 	p := b.
@@ -388,7 +388,7 @@ func TestAttachToTracepoint(t *testing.T) {
 	if task.Now() <= before {
 		t.Fatalf("attached program must cost time")
 	}
-	got := rb.Drain(0)
+	got := drainAll(rb)
 	if len(got) != 1 || U64(got[0]) != 4242 {
 		t.Fatalf("sample: %v", got)
 	}

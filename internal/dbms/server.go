@@ -61,8 +61,6 @@ type Config struct {
 	NumCPUs int
 	// WAL tunes group commit.
 	WAL wal.Config
-	// FuseSimpleSelects enables the §5.2 fused pipeline path.
-	FuseSimpleSelects bool
 }
 
 // Server is one DBMS instance plus its TScout deployment.
@@ -154,7 +152,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.FuseSimpleSelects = cfg.FuseSimpleSelects
 	srv.Engine = eng
 
 	var serM, wrM *tscout.Marker

@@ -38,10 +38,10 @@ type Engine struct {
 	cat     *catalog.Catalog
 	ts      *tscout.TScout
 	markers map[tscout.OUID]*tscout.Marker
-	// FuseSimpleSelects executes scan->filter->output pipelines under a
+	// FusePipelines executes simple scan->filter->output pipelines under a
 	// single measurement with vectorized features (paper §5.2), as a
 	// JIT-compiling engine would.
-	FuseSimpleSelects bool
+	FusePipelines bool
 
 	bindMu   sync.Mutex
 	bindings map[bindKey]*binding // guarded by bindMu

@@ -394,7 +394,7 @@ func TestInstrumentedQueryEmitsOUTrainingData(t *testing.T) {
 func TestFusedPipelineEmitsVectorizedFeatures(t *testing.T) {
 	db := newTestDB(t, true)
 	db.seed(t, 20)
-	db.engine.FuseSimpleSelects = true
+	db.engine.FusePipelines = true
 	db.ts.Processor().Reset()
 	db.run(t, "SELECT id FROM accounts WHERE id = 3")
 	pts := db.points(t)

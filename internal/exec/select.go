@@ -18,7 +18,7 @@ func (e *Engine) executeSelect(ctx *Ctx, s *sql.SelectStmt, params []storage.Val
 	// Fused path (§5.2): a simple scan pipeline executed under one
 	// measurement, emitting vectorized features. Virtual tables take the
 	// regular path — their scan is already columnar.
-	if e.FuseSimpleSelects && tbl.Virtual == nil && len(s.Joins) == 0 &&
+	if e.FusePipelines && tbl.Virtual == nil && len(s.Joins) == 0 &&
 		len(s.GroupBy) == 0 && len(s.OrderBy) == 0 && !hasAggs(s) {
 		return e.executeFusedSelect(ctx, s, params)
 	}

@@ -9,6 +9,21 @@ import (
 	"tscout/internal/sim"
 )
 
+// drainRing empties every CPU ring of r in CPU order and returns copies of
+// the samples.
+func drainRing(r *bpf.PerCPURing) [][]byte {
+	var out [][]byte
+	var b bpf.Batch
+	for cpu := 0; cpu < r.NumCPUs(); cpu++ {
+		b.Reset()
+		n := r.DrainBatch(cpu, &b, 0)
+		for i := 0; i < n; i++ {
+			out = append(out, append([]byte(nil), b.Sample(i)...))
+		}
+	}
+	return out
+}
+
 func callsHelper(lp *bpf.LoadedProgram, helper int64) bool {
 	for _, in := range lp.Program().Insns {
 		if in.Op == bpf.OpCall && in.Imm == helper {
@@ -98,7 +113,7 @@ func TestCollectorSampleWireLayout(t *testing.T) {
 	runOU(ts, task, scan, sim.Work{Instructions: 50000, AllocBytes: 640}, 12, 34)
 
 	col := ts.CollectorFor(SubsystemExecutionEngine)
-	bufs := col.Ring.Drain(0)
+	bufs := drainRing(col.Ring)
 	if len(bufs) != 1 {
 		t.Fatalf("one marker cycle produced %d samples", len(bufs))
 	}
@@ -320,7 +335,7 @@ func TestCodegenOptimizePreservesSamples(t *testing.T) {
 		task.ChargeUserNS(1000)
 		task.HitTracepoint(end, []uint64{42})
 		task.HitTracepoint(feat, []uint64{42, 512, 2, 7, 9})
-		samples := col.Ring.Drain(0)
+		samples := drainRing(col.Ring)
 		if len(samples) != 1 {
 			t.Fatalf("opt=%v: %d samples, want 1", opt, len(samples))
 		}

@@ -107,7 +107,7 @@ func jitSmokeObservation(t *testing.T, compile bool) string {
 			t.Fatalf("%s: %d runtime faults (compile=%v)", sub, faults, compile)
 		}
 		fmt.Fprintf(&b, "[%s]\n", sub)
-		for _, buf := range col.Ring.Drain(0) {
+		for _, buf := range drainRing(col.Ring) {
 			fmt.Fprintf(&b, "sample %x\n", buf)
 		}
 		for slot := uint64(0); slot < numErrorSlots; slot++ {

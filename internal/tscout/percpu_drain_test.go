@@ -135,8 +135,8 @@ func checkPerCPUIdentity(t *testing.T, ts *TScout) {
 
 // TestPerCPUAccountingIdentity drives a seeded multi-task workload whose
 // tasks land on (and migrate across) different simulated CPUs, interleaved
-// with budgeted per-ring-capped drains under a deterministic schedule, at
-// 1/2/4 drain threads. After a final sweep, the accounting identity must
+// with budgeted drains under a deterministic schedule, at 1/2/4 drain
+// threads. After a final sweep, the accounting identity must
 // hold on every individual CPU ring, the rings must sum to the shard
 // aggregates, and the whole run must be bit-identical when repeated.
 func TestPerCPUAccountingIdentity(t *testing.T) {
@@ -169,7 +169,7 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 					})
 				}
 				iv.Add("drain", 15, func(int) {
-					p.Drain(DrainOptions{Budget: 3, PerRingCap: 2})
+					p.Drain(DrainOptions{Budget: 3})
 				})
 				iv.Run()
 				p.Drain(DrainOptions{}) // final sweep: empty every ring
@@ -246,7 +246,7 @@ func TestAffinityShardedDrainConcurrent(t *testing.T) {
 		case <-done:
 			draining = false
 		default:
-			p.Drain(DrainOptions{Budget: 16, PerRingCap: 8})
+			p.Drain(DrainOptions{Budget: 16})
 		}
 	}
 	p.Drain(DrainOptions{})
@@ -265,10 +265,11 @@ func TestAffinityShardedDrainConcurrent(t *testing.T) {
 
 }
 
-// TestDrainOptionsSemantics pins PerRingCap and MaxBatches behavior with
-// hand-placed ring contents: caps apply per individual CPU ring, MaxBatches
-// bounds how many rings one cycle touches (in global ring order), and the
-// batch-size histogram buckets what each cycle actually drained.
+// TestDrainOptionsSemantics pins Budget behavior with hand-placed ring
+// contents: a budgeted cycle under overload drains exactly the degraded
+// effective budget, split evenly over the drain threads and waterfilled
+// over each thread's own CPU rings; a zero Budget drains everything; and
+// the batch-size histogram buckets what each cycle actually drained.
 func TestDrainOptionsSemantics(t *testing.T) {
 	const numCPUs = 4
 	ts, _, _, _ := deployPerCPU(t, 5, numCPUs, 16, 2)
@@ -280,31 +281,35 @@ func TestDrainOptionsSemantics(t *testing.T) {
 		}
 	}
 
-	// PerRingCap caps every ring individually: 4 rings × 3 samples.
-	res := p.Drain(DrainOptions{PerRingCap: 3})
-	if res.Drained != 12 || res.Batches != 4 || res.Points != 12 {
-		t.Fatalf("PerRingCap drain = %+v, want Drained 12, Batches 4, Points 12", res)
+	// Budget 8 per thread × 2 threads = 16 tokens, degraded by 40 arrivals
+	// to 16/(1+0.35·(40/16−1)) = 10. Each thread gets 5 tokens for its two
+	// rings (even CPUs on thread 0, odd on thread 1): 3 + 2.
+	res := p.Drain(DrainOptions{Budget: 8})
+	if st := p.Stats(); st.GlobalBudget != 16 || st.EffectiveBudget != 10 {
+		t.Fatalf("budgets global %d effective %d, want 16/10", st.GlobalBudget, st.EffectiveBudget)
+	}
+	if res.Drained != 10 || res.Batches != 4 || res.Points != 10 {
+		t.Fatalf("budgeted drain = %+v, want Drained 10, Batches 4, Points 10", res)
 	}
 	for cpu, rs := range ring.CPUStats() {
-		if rs.Drained != 3 || rs.Pending != 7 {
-			t.Fatalf("cpu%d after capped drain: drained %d pending %d, want 3/7", cpu, rs.Drained, rs.Pending)
+		want := []int64{3, 3, 2, 2}[cpu]
+		if rs.Drained != want || rs.Pending != 10-int(want) {
+			t.Fatalf("cpu%d after budgeted drain: drained %d pending %d, want %d/%d",
+				cpu, rs.Drained, rs.Pending, want, 10-want)
 		}
 	}
 
-	// MaxBatches bounds the cycle to the first N non-empty rings.
-	res = p.Drain(DrainOptions{MaxBatches: 2})
-	if res.Batches != 2 || res.Drained != 14 {
-		t.Fatalf("MaxBatches drain = %+v, want Batches 2, Drained 14", res)
-	}
-
-	// The final unbudgeted sweep takes the remaining two rings.
+	// A zero Budget is unlimited: the sweep empties every ring.
 	res = p.Drain(DrainOptions{})
-	if res.Batches != 2 || res.Drained != 14 {
-		t.Fatalf("final drain = %+v, want Batches 2, Drained 14", res)
+	if res.Batches != 4 || res.Drained != 30 {
+		t.Fatalf("unbudgeted drain = %+v, want Batches 4, Drained 30", res)
+	}
+	if st := ring.Stats(); st.Pending != 0 || st.Drained != 40 {
+		t.Fatalf("ring after unbudgeted drain: %+v", st)
 	}
 
-	// Histogram: four 3-sample batches ("2-4"), then four 7-sample batches
-	// ("5-16").
+	// Histogram: four 2–3-sample batches ("2-4"), then four 7–8-sample
+	// batches ("5-16").
 	st := p.Stats()
 	want := [BatchHistBuckets]int64{0, 4, 4, 0, 0, 0}
 	if st.BatchSizeHist != want {

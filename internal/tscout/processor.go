@@ -298,14 +298,6 @@ type DrainOptions struct {
 	// unlimited): the global token budget is Budget × parallelism, shared
 	// by every CPU ring and the user queue, and degraded under overload.
 	Budget int
-	// MaxBatches caps how many non-empty ring batches the cycle may
-	// process (0 = unlimited), bounding the cycle's length under backlog.
-	// The user-queue drain does not count against it.
-	MaxBatches int
-	// PerRingCap caps the samples drained from any single CPU ring in
-	// this cycle (0 = unlimited), bounding how long one hot ring can keep
-	// a drain thread away from its other rings.
-	PerRingCap int
 }
 
 // DrainResult reports what one drain cycle did.
@@ -423,19 +415,15 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	p.lastGlobalBudget, p.lastEffectiveBudget = globalBudget, effective
 	p.mu.Unlock()
 
-	// Token demand per ring: one token per pending kernel sample (capped
-	// per ring if requested), userDrainPenalty tokens per pending user
-	// sample. Each thread waterfills its own slice of the effective budget
-	// over the rings it owns, so no ring can exceed one thread's period
-	// capacity and no two threads compete for the same tokens.
+	// Token demand per ring: one token per pending kernel sample,
+	// userDrainPenalty tokens per pending user sample. Each thread
+	// waterfills its own slice of the effective budget over the rings it
+	// owns, so no ring can exceed one thread's period capacity and no two
+	// threads compete for the same tokens.
 	demands := make([]int, numRings+1)
 	for _, sub := range AllSubsystems {
 		for cpu, rs := range cpuNow[sub] {
-			d := rs.Pending
-			if opts.PerRingCap > 0 && d > opts.PerRingCap {
-				d = opts.PerRingCap
-			}
-			demands[globalRingIndex(cpu, sub, numCPUs)] = d
+			demands[globalRingIndex(cpu, sub, numCPUs)] = rs.Pending
 		}
 	}
 	demands[userIdx] = userPending * userDrainPenalty
@@ -464,19 +452,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		}
 	} else {
 		copy(alloc, demands) // unlimited: drain everything
-	}
-
-	if opts.MaxBatches > 0 {
-		kept := 0
-		for g := 0; g < numRings; g++ {
-			if alloc[g] == 0 {
-				continue
-			}
-			kept++
-			if kept > opts.MaxBatches {
-				alloc[g] = 0
-			}
-		}
 	}
 
 	// Affinity-sharded drain: one goroutine per modeled drain thread, each

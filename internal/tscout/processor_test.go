@@ -38,7 +38,7 @@ func newShardedDeployment(t *testing.T, cfg Config) (*TScout, [NumSubsystems]OUI
 func submitKernel(ts *TScout, sub SubsystemID, ou OUID, n int) {
 	col := ts.CollectorFor(sub)
 	for i := 0; i < n; i++ {
-		col.Ring.Submit(EncodeSample(ou, 1, Metrics{ElapsedNS: 10}, []uint64{1, 2}))
+		col.Ring.SubmitFrom(0, EncodeSample(ou, 1, Metrics{ElapsedNS: 10}, []uint64{1, 2}))
 	}
 }
 
@@ -332,8 +332,8 @@ func TestFeatureVectorPadAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := ts.CollectorFor(sub)
-	col.Ring.Submit(EncodeSample(72, 1, Metrics{}, []uint64{7}))             // short
-	col.Ring.Submit(EncodeSample(72, 1, Metrics{}, []uint64{1, 2, 3, 4, 5})) // long
+	col.Ring.SubmitFrom(0, EncodeSample(72, 1, Metrics{}, []uint64{7}))             // short
+	col.Ring.SubmitFrom(0, EncodeSample(72, 1, Metrics{}, []uint64{1, 2, 3, 4, 5})) // long
 	p := ts.Processor()
 	p.Drain(DrainOptions{})
 	pts := recorded(p).pointsFor(sub)

@@ -72,7 +72,6 @@ if [ "${FUZZ:-0}" = "1" ]; then
 	go test ./internal/bpf -run '^$' -fuzz '^FuzzVerify$' -fuzztime "$fuzztime"
 	go test ./internal/bpf -run '^$' -fuzz '^FuzzVerifyThenRun$' -fuzztime "$fuzztime"
 	go test ./internal/bpf -run '^$' -fuzz '^FuzzOptimize$' -fuzztime "$fuzztime"
-	go test ./internal/bpf -run '^$' -fuzz '^FuzzRingbuf$' -fuzztime "$fuzztime"
 	go test ./internal/bpf -run '^$' -fuzz '^FuzzPerCPURing$' -fuzztime "$fuzztime"
 	go test ./internal/tscout -run '^$' -fuzz '^FuzzProcessorDecode$' -fuzztime "$fuzztime"
 	go test ./internal/tscout -run '^$' -fuzz '^FuzzFaultSchedule$' -fuzztime "$fuzztime"
